@@ -138,26 +138,17 @@ func (t *Table) CheckpointTo(enc *wal.Encoder) (ckptTS, ckptRows uint64, err err
 		}
 	}
 
-	// Delta versions visible at the pinned snapshot, stamped with their
-	// real commit timestamps so restore rebuilds the same chains.
-	type deltaEntry struct {
-		row     uint64
-		rec     schema.Record
-		deleted bool
-		ts      uint64
-	}
-	var deltas []deltaEntry
-	t.deltas.RangeVisible(pinTS, func(row uint64, rec schema.Record, deleted bool, verTS uint64) bool {
-		deltas = append(deltas, deltaEntry{row: row, rec: rec, deleted: deleted, ts: verTS})
-		return true
-	})
+	// Delta versions visible at the pinned snapshot, in row order,
+	// stamped with their real commit timestamps so restore rebuilds the
+	// same chains.
+	deltas := t.deltas.VisibleAt(pinTS)
 	enc.U32(uint32(len(deltas)))
 	for _, d := range deltas {
-		enc.U64(d.row)
-		enc.U64(d.ts)
-		enc.Bool(d.deleted)
-		if !d.deleted {
-			enc.Record(d.rec)
+		enc.U64(d.Row)
+		enc.U64(d.TS)
+		enc.Bool(d.Deleted)
+		if !d.Deleted {
+			enc.Record(d.Rec)
 		}
 	}
 

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/rescache"
 	"hybridstore/internal/schema"
-	"hybridstore/internal/tx"
 	"hybridstore/internal/workload"
 )
 
@@ -74,22 +72,12 @@ func (t *Table) GroupSumFloat64(keyCol, valCol int) ([]exec.GroupResult, error) 
 	}
 
 	// Patch the snapshot's visible versions: move rows between groups.
-	for row := uint64(0); row < rows; row++ {
-		if t.deltas.LatestTS(row) == 0 {
-			continue
-		}
-		rec, err := reader.Read(t.deltas, row)
-		if err != nil {
-			if errors.Is(err, tx.ErrNotFound) {
-				continue
-			}
-			return nil, err
-		}
-		baseKeyV, err := t.baseValue(row, keyCol)
+	for _, v := range t.patchVersions(reader.SnapshotTS(), rows) {
+		baseKeyV, err := t.baseValue(v.Row, keyCol)
 		if err != nil {
 			return nil, err
 		}
-		baseValV, err := t.baseValue(row, valCol)
+		baseValV, err := t.baseValue(v.Row, valCol)
 		if err != nil {
 			return nil, err
 		}
@@ -97,12 +85,12 @@ func (t *Table) GroupSumFloat64(keyCol, valCol int) ([]exec.GroupResult, error) 
 			g.Sum -= baseValV.F
 			g.Count--
 		}
-		cur := table[rec[keyCol].I]
+		cur := table[v.Rec[keyCol].I]
 		if cur == nil {
-			cur = &exec.GroupResult{Key: rec[keyCol].I}
-			table[rec[keyCol].I] = cur
+			cur = &exec.GroupResult{Key: v.Rec[keyCol].I}
+			table[v.Rec[keyCol].I] = cur
 		}
-		cur.Sum += rec[valCol].F
+		cur.Sum += v.Rec[valCol].F
 		cur.Count++
 	}
 	out := make([]exec.GroupResult, 0, len(table))
@@ -208,10 +196,7 @@ func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) (
 	// merged table (the common warm serving state) returns the fused
 	// result as-is, with no second hash table and no re-sort.
 	var table map[int64]*exec.GroupResult
-	for row := uint64(0); row < rows; row++ {
-		if t.deltas.LatestTS(row) == 0 {
-			continue
-		}
+	for _, v := range t.patchVersions(reader.SnapshotTS(), rows) {
 		if table == nil {
 			table = make(map[int64]*exec.GroupResult, len(merged))
 			for i := range merged {
@@ -219,18 +204,11 @@ func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) (
 				table[g.Key] = &g
 			}
 		}
-		rec, err := reader.Read(t.deltas, row)
-		if err != nil {
-			if errors.Is(err, tx.ErrNotFound) {
-				continue
-			}
-			return nil, err
-		}
-		baseKeyV, err := t.baseValue(row, keyCol)
+		baseKeyV, err := t.baseValue(v.Row, keyCol)
 		if err != nil {
 			return nil, err
 		}
-		baseValV, err := t.baseValue(row, valCol)
+		baseValV, err := t.baseValue(v.Row, valCol)
 		if err != nil {
 			return nil, err
 		}
@@ -240,13 +218,13 @@ func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) (
 				g.Count--
 			}
 		}
-		if p.Match(rec[valCol].F) {
-			cur := table[rec[keyCol].I]
+		if p.Match(v.Rec[valCol].F) {
+			cur := table[v.Rec[keyCol].I]
 			if cur == nil {
-				cur = &exec.GroupResult{Key: rec[keyCol].I}
-				table[rec[keyCol].I] = cur
+				cur = &exec.GroupResult{Key: v.Rec[keyCol].I}
+				table[v.Rec[keyCol].I] = cur
 			}
-			cur.Sum += rec[valCol].F
+			cur.Sum += v.Rec[valCol].F
 			cur.Count++
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"hybridstore/internal/device"
 	"hybridstore/internal/engine"
@@ -15,15 +16,22 @@ import (
 )
 
 // Get materializes the current record at row: the newest committed delta
-// version if one exists, else the base fragments. Delta-free rows are
-// served from / published to the result cache under the stamp of just
-// their chunk's fragments (see rescache.go for the validity argument).
+// version if one exists, else the base fragments.
 func (t *Table) Get(row uint64) (schema.Record, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if row >= t.rel.Rows() {
 		return nil, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rel.Rows())
 	}
+	return t.getLocked(row)
+}
+
+// getLocked is the point-read body shared by Get and GetByPK. Caller
+// holds t.mu (read side) and has checked row is in range. Delta-free
+// rows are served from / published to the result cache under the stamp
+// of just their chunk's fragments (see rescache.go for the validity
+// argument).
+func (t *Table) getLocked(row uint64) (schema.Record, error) {
 	t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: layout.AllCols(t.s)})
 	cache := t.eng.rescache
 	var key rescache.Key
@@ -200,22 +208,12 @@ func (t *Table) SumFloat64(col int) (float64, error) {
 	sum += hostSum
 
 	// Patch the snapshot's visible versions over the base values.
-	for row := uint64(0); row < rows; row++ {
-		if t.deltas.LatestTS(row) == 0 {
-			continue
-		}
-		rec, err := reader.Read(t.deltas, row)
-		if err != nil {
-			if errors.Is(err, tx.ErrNotFound) {
-				continue
-			}
-			return 0, err
-		}
-		base, err := t.baseValue(row, col)
+	for _, v := range t.patchVersions(reader.SnapshotTS(), rows) {
+		base, err := t.baseValue(v.Row, col)
 		if err != nil {
 			return 0, err
 		}
-		sum += rec[col].F - base.F
+		sum += v.Rec[col].F - base.F
 	}
 	t.aggCachePut(cache, ck, cst, rescache.Value{Sum: sum}, cacheable)
 	return sum, nil
@@ -324,18 +322,8 @@ func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, 
 	n += hostN
 
 	// Patch the snapshot's visible versions over the base contribution.
-	for row := uint64(0); row < rows; row++ {
-		if t.deltas.LatestTS(row) == 0 {
-			continue
-		}
-		rec, err := reader.Read(t.deltas, row)
-		if err != nil {
-			if errors.Is(err, tx.ErrNotFound) {
-				continue
-			}
-			return 0, 0, err
-		}
-		base, err := t.baseValue(row, col)
+	for _, v := range t.patchVersions(reader.SnapshotTS(), rows) {
+		base, err := t.baseValue(v.Row, col)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -343,8 +331,8 @@ func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, 
 			sum -= base.F
 			n--
 		}
-		if p.Match(rec[col].F) {
-			sum += rec[col].F
+		if p.Match(v.Rec[col].F) {
+			sum += v.Rec[col].F
 			n++
 		}
 	}
@@ -357,6 +345,21 @@ func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, 
 func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) {
 	_, n, err := t.SumFloat64Where(col, p)
 	return n, err
+}
+
+// patchVersions is the one MVCC patch walk: the delta versions visible
+// at snapshot ts for rows below rows, in ascending row order, delete
+// markers dropped. Every aggregate folds it over its base result in this
+// order, which keeps their float sums bit-identical to one another.
+func (t *Table) patchVersions(ts, rows uint64) []tx.Version {
+	vs := t.deltas.VisibleAt(ts)
+	out := vs[:0]
+	for _, v := range vs {
+		if v.Row < rows && !v.Deleted {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // attachCompressed swaps a cold piece's execution format to the chunk's
@@ -447,48 +450,41 @@ func (x *Txn) Abort() { x.x.Abort() }
 // Merge folds delta versions no active snapshot needs back into the base
 // fragments and prunes the version store — the background pass that keeps
 // scan patching cheap. Cold fragments are rewritten in place (they are
-// only immutable with respect to *transactions*).
+// only immutable with respect to *transactions*). Only rows whose newest
+// version is settled (committed at or before MinActiveTS) are folded.
+// Interactive commits take no table lock, so one can land on a row after
+// its fold; Forget then keeps that row's chain.
 func (t *Table) Merge() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sp := sfMerge.Start()
 	defer sp.End()
 	minTS := t.txm.MinActiveTS()
-	rows := t.rel.Rows()
-	reader := t.txm.Begin()
-	defer reader.Abort()
 	// Cold fragments rewritten below already stop validating through their
 	// version bumps; collecting them lets the device cache release the
 	// stale images' memory eagerly rather than waiting for capacity
 	// pressure.
 	touched := make(map[*layout.Fragment]bool)
 	touchedChunks := make(map[*chunk]bool)
-	for row := uint64(0); row < rows; row++ {
-		if t.deltas.LatestTS(row) == 0 || t.deltas.LatestTS(row) > minTS {
+	for _, v := range t.patchVersions(math.MaxUint64, t.rel.Rows()) {
+		if v.TS > minTS {
 			continue
 		}
-		rec, err := reader.Read(t.deltas, row)
-		if err != nil {
-			if errors.Is(err, tx.ErrNotFound) {
-				continue
-			}
-			return err
-		}
-		c, err := t.chunkFor(row)
+		c, err := t.chunkFor(v.Row)
 		if err != nil {
 			return err
 		}
-		i := int(row - c.rows.Begin)
+		i := int(v.Row - c.rows.Begin)
 		if c.state == hot {
 			for col := 0; col < t.s.Arity(); col++ {
-				if err := c.nsm.Set(i, col, rec[col]); err != nil {
+				if err := c.nsm.Set(i, col, v.Rec[col]); err != nil {
 					return err
 				}
 			}
 		} else {
 			for gi, f := range c.frags {
 				for _, col := range c.groups[gi] {
-					if err := f.Set(i, col, rec[col]); err != nil {
+					if err := f.Set(i, col, v.Rec[col]); err != nil {
 						return err
 					}
 				}
@@ -498,7 +494,7 @@ func (t *Table) Merge() error {
 		}
 		// The base now carries the settled value; the chain is redundant
 		// for every snapshot at or after minTS.
-		t.deltas.Forget(row)
+		t.deltas.Forget(v.Row, v.TS)
 	}
 	for f := range touched {
 		t.invalidateFrag(f)

@@ -22,9 +22,11 @@ import (
 // whole section. The only state that can move under a concurrent RLock
 // holder is the delta store, and it moves monotonically — commits only
 // add versions; Forget/Prune run inside Merge, which needs the write
-// lock. So:
+// lock. The emptiness test is deltas.Rows() == 0, an O(1) map length:
+// every chain in the store holds at least one version, so no dirty row
+// means no version at all. So:
 //
-//   - deltas.Versions() == 0 observed at any point of an RLock section
+//   - deltas.Rows() == 0 observed at any point of an RLock section
 //     means it was 0 at every earlier point of the section;
 //   - checking it AFTER executing a scan proves the scan patched
 //     nothing and its answer is a pure function of the stamped base
@@ -96,7 +98,7 @@ func (t *Table) aggCacheBegin(op rescache.Op, col, keyCol int, p exec.Pred[float
 	if cache == nil {
 		return nil, rescache.Key{}, rescache.Stamp{}, false
 	}
-	if t.deltas.Versions() == 0 {
+	if t.deltas.Rows() == 0 {
 		cols := []int{col}
 		if op == rescache.OpGroupSum || op == rescache.OpGroupSumWhere {
 			cols = []int{keyCol, col}
@@ -110,11 +112,11 @@ func (t *Table) aggCacheBegin(op rescache.Op, col, keyCol int, p exec.Pred[float
 }
 
 // aggCachePut publishes an aggregate result if the RLock section stayed
-// delta-free end to end: Versions only grows under the read lock, so 0
+// delta-free end to end: Rows only grows under the read lock, so 0
 // after execution proves the scan patched nothing and its answer is a
 // pure function of the stamped base state.
 func (t *Table) aggCachePut(cache *rescache.Cache, k rescache.Key, st rescache.Stamp, v rescache.Value, cacheable bool) {
-	if cacheable && t.deltas.Versions() == 0 {
+	if cacheable && t.deltas.Rows() == 0 {
 		cache.Put(k, st, v)
 	}
 }
@@ -127,7 +129,7 @@ func (t *Table) aggCachePut(cache *rescache.Cache, k rescache.Key, st rescache.S
 func (t *Table) VersionStamp(cols ...int) (rescache.Stamp, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.deltas.Versions() != 0 {
+	if t.deltas.Rows() != 0 {
 		return rescache.Stamp{}, false
 	}
 	return t.stampLocked(cols...)
@@ -173,7 +175,7 @@ func (t *Table) cachedAgg(op rescache.Op, col, keyCol int, p exec.Pred[float64],
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.deltas.Versions() != 0 {
+	if t.deltas.Rows() != 0 {
 		return rescache.Value{}, false
 	}
 	cols := []int{col}

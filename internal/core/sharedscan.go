@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"hybridstore/internal/device"
@@ -10,7 +9,6 @@ import (
 	"hybridstore/internal/rescache"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/stats"
-	"hybridstore/internal/tx"
 	"hybridstore/internal/workload"
 )
 
@@ -66,7 +64,7 @@ func (t *Table) SumFloat64WhereMulti(col int, preds []exec.Pred[float64]) ([]flo
 	if cache == nil {
 		return t.sumWhereMultiLocked(col, preds, sums, counts, identityIdx(len(preds)))
 	}
-	cacheable := t.deltas.Versions() == 0
+	cacheable := t.deltas.Rows() == 0
 	var st rescache.Stamp
 	if cacheable {
 		st, cacheable = t.stampLocked(col)
@@ -95,7 +93,7 @@ func (t *Table) SumFloat64WhereMulti(col int, preds []exec.Pred[float64]) ([]flo
 	if _, _, err := t.sumWhereMultiLocked(col, missPreds, sums, counts, missIdx); err != nil {
 		return nil, nil, err
 	}
-	if cacheable && t.deltas.Versions() == 0 {
+	if cacheable && t.deltas.Rows() == 0 {
 		for _, k := range missIdx {
 			cache.Put(keys[k], st, rescache.Value{Sum: sums[k], Count: counts[k]})
 		}
@@ -264,18 +262,8 @@ func (t *Table) sumWhereMultiLocked(col int, preds []exec.Pred[float64], outSums
 	// Patch the snapshot's visible versions over each predicate's base
 	// contribution: rows outer, predicates inner, so every predicate
 	// sees the solo scan's ascending-row patch order.
-	for row := uint64(0); row < rows; row++ {
-		if t.deltas.LatestTS(row) == 0 {
-			continue
-		}
-		rec, err := reader.Read(t.deltas, row)
-		if err != nil {
-			if errors.Is(err, tx.ErrNotFound) {
-				continue
-			}
-			return nil, nil, err
-		}
-		base, err := t.baseValue(row, col)
+	for _, v := range t.patchVersions(reader.SnapshotTS(), rows) {
+		base, err := t.baseValue(v.Row, col)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -284,8 +272,8 @@ func (t *Table) sumWhereMultiLocked(col int, preds []exec.Pred[float64], outSums
 				sums[k] -= base.F
 				counts[k]--
 			}
-			if p.Match(rec[col].F) {
-				sums[k] += rec[col].F
+			if p.Match(v.Rec[col].F) {
+				sums[k] += v.Rec[col].F
 				counts[k]++
 			}
 		}

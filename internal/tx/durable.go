@@ -94,23 +94,3 @@ func (s *Store) VersionAt(row uint64, ts uint64) (rec schema.Record, deleted boo
 	}
 	return v.rec, v.deleted, v.ts, true
 }
-
-// RangeVisible calls fn for every row with a version visible at ts,
-// passing the visible record, delete flag and its commit timestamp.
-// Iteration order is unspecified. fn returning false stops the walk.
-// The store lock is held throughout: fn must not call back into the
-// store.
-func (s *Store) RangeVisible(ts uint64, fn func(row uint64, rec schema.Record, deleted bool, verTS uint64) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for row, v := range s.chains {
-		for ; v != nil; v = v.next {
-			if v.ts <= ts {
-				if !fn(row, v.rec, v.deleted, v.ts) {
-					return
-				}
-				break
-			}
-		}
-	}
-}

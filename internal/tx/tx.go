@@ -112,6 +112,40 @@ func (s *Store) Versions() int {
 	return n
 }
 
+// Version is the version of one row a snapshot sees.
+type Version struct {
+	Row     uint64
+	TS      uint64 // commit timestamp
+	Deleted bool   // a delete marker; Rec is nil
+	Rec     schema.Record
+}
+
+// VisibleAt returns, for every row with a version committed at or before
+// ts, the newest such version, in ascending row order. It takes the
+// store lock once. Rec is the stored version itself, not a copy: stored
+// records are never modified, and callers must not modify them either.
+// The order is part of the contract: aggregates patch float sums row by
+// row in this order, so any other order would change their rounding.
+func (s *Store) VisibleAt(ts uint64) []Version {
+	s.mu.RLock()
+	if len(s.chains) == 0 {
+		s.mu.RUnlock()
+		return nil
+	}
+	out := make([]Version, 0, len(s.chains))
+	for row, v := range s.chains {
+		for ; v != nil; v = v.next {
+			if v.ts <= ts {
+				out = append(out, Version{Row: row, TS: v.ts, Deleted: v.deleted, Rec: v.rec})
+				break
+			}
+		}
+	}
+	s.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Row < out[j].Row })
+	return out
+}
+
 // Prune drops versions that no snapshot at or after minTS can see: for
 // each chain the newest version with ts <= minTS is kept, everything
 // older is cut. Deleted markers older than minTS are removed entirely.
@@ -142,21 +176,25 @@ func (s *Store) Prune(minTS uint64) {
 	}
 }
 
-// Forget removes row's entire version chain. It is only safe when the
-// newest version's value has been folded into the caller's base storage
-// and no active snapshot predates that version (callers guard with
-// Manager.MinActiveTS) — the merge path of HTAP engines.
-func (s *Store) Forget(row uint64) {
+// Forget removes row's version chain if its newest version is still the
+// one committed at ts. It is the merge path of HTAP engines: the caller
+// has folded that version into its base storage, and no active snapshot
+// predates it (callers guard with Manager.MinActiveTS). Check and
+// removal share one critical section, so a commit that lands after the
+// fold keeps its chain instead of being dropped with the folded version.
+func (s *Store) Forget(row, ts uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	head := s.chains[row]
+	if head == nil || head.ts != ts {
+		return
+	}
 	var n int64
-	for v := s.chains[row]; v != nil; v = v.next {
+	for v := head; v != nil; v = v.next {
 		n++
 	}
 	delete(s.chains, row)
-	if n > 0 {
-		mVersionsPruned.Add(n)
-	}
+	mVersionsPruned.Add(n)
 }
 
 // Manager issues timestamps and transactions over any number of stores.

@@ -3,6 +3,7 @@ package tx
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -433,6 +434,97 @@ func TestQuickPruneKeepsNewest(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// VisibleAt is the one snapshot walk of the store: ascending rows
+// whatever the install order, the newest version at or before ts when
+// older and newer ones exist, nothing for rows whose versions are all
+// newer than ts, and delete markers reported as such.
+func TestVisibleAtOrderAndSnapshot(t *testing.T) {
+	m := NewManager()
+	s := NewStore()
+	commit := func(row uint64, v int64, del bool) uint64 {
+		t.Helper()
+		x := m.Begin()
+		if del {
+			x.Delete(s, row)
+		} else {
+			x.Write(s, row, rec(v))
+		}
+		mustCommit(t, x)
+		return m.Now()
+	}
+	if got := s.VisibleAt(m.Now()); len(got) != 0 {
+		t.Fatalf("empty store walk = %v", got)
+	}
+	r := rand.New(rand.NewSource(7))
+	rows := r.Perm(64)
+	for _, row := range rows {
+		commit(uint64(row)*3, int64(row), false)
+	}
+	snap := m.Now()
+	commit(9, 1000, false) // row 9 gains a version newer than snap
+	commit(12, 0, true)    // row 12 is deleted after snap
+	commit(500, 5, false)  // row 500 exists only after snap
+	delTS := commit(15, 0, true)
+
+	got := s.VisibleAt(snap)
+	if len(got) != 64 {
+		t.Fatalf("walk at snap returned %d rows, want 64", len(got))
+	}
+	for i, v := range got {
+		if v.Row != uint64(i)*3 || v.Deleted || v.Rec[0].I != int64(i) || v.TS > snap {
+			t.Fatalf("walk[%d] = %+v, want row %d value %d at ts <= %d", i, v, i*3, i, snap)
+		}
+	}
+
+	latest := s.VisibleAt(m.Now())
+	if len(latest) != 65 {
+		t.Fatalf("walk at now returned %d rows, want 65", len(latest))
+	}
+	byRow := make(map[uint64]Version)
+	for i, v := range latest {
+		if i > 0 && latest[i-1].Row >= v.Row {
+			t.Fatalf("walk not ascending at %d: %d then %d", i, latest[i-1].Row, v.Row)
+		}
+		byRow[v.Row] = v
+	}
+	if v := byRow[9]; v.Rec[0].I != 1000 {
+		t.Fatalf("row 9 at now = %+v, want the newer version", v)
+	}
+	if v := byRow[12]; !v.Deleted || v.Rec != nil {
+		t.Fatalf("row 12 at now = %+v, want a delete marker", v)
+	}
+	if v := byRow[15]; !v.Deleted || v.TS != delTS {
+		t.Fatalf("row 15 at now = %+v, want a delete marker at %d", v, delTS)
+	}
+	if v, ok := byRow[500]; !ok || v.Rec[0].I != 5 {
+		t.Fatalf("row 500 at now = %+v, %v", v, ok)
+	}
+}
+
+// Forget removes a chain only while the version the caller folded is
+// still its head: a commit that lands after the fold must survive.
+func TestForgetKeepsNewerHead(t *testing.T) {
+	m := NewManager()
+	s := NewStore()
+	x := m.Begin()
+	x.Write(s, 1, rec(1))
+	mustCommit(t, x)
+	folded := s.LatestTS(1)
+	y := m.Begin()
+	y.Write(s, 1, rec(2))
+	mustCommit(t, y)
+
+	s.Forget(1, folded)
+	got, err := m.Begin().Read(s, 1)
+	if err != nil || got[0].I != 2 {
+		t.Fatalf("newer commit lost after Forget: %v, %v", got, err)
+	}
+	s.Forget(1, s.LatestTS(1))
+	if s.Rows() != 0 {
+		t.Fatalf("Forget of the head kept the chain: rows = %d", s.Rows())
 	}
 }
 
