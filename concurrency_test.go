@@ -38,13 +38,17 @@ func TestConcurrentHTAPStress(t *testing.T) {
 	inserted := uint64(base)
 
 	// Writers: single-op update transactions against the base region.
+	// Writer w owns the rows with row%4 == w. Two writers racing on one
+	// row would make Update return a legitimate first-committer-wins
+	// ErrConflict, and the model's write order could differ from the
+	// commit order.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 200; i++ {
-				row := uint64(r.Int63n(base))
+				row := uint64(r.Int63n(base/4))*4 + uint64(w)
 				val := math.Floor(r.Float64() * 100)
 				if err := tbl.Update(row, ItemPriceColumn, FloatValue(val)); err != nil {
 					t.Error(err)

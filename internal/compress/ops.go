@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // This file holds the compressed-domain operators: sargable predicate
@@ -17,11 +18,13 @@ import (
 //     domain and compares narrow deltas without reconstructing values,
 //   - Raw degenerates to the plain fused scan.
 //
-// Float64 accumulation deliberately stays element-ordered (a run value
-// is added run-length times, not multiplied) so results are
-// bit-identical to decompressing and running the executor's fused
-// kernels; int64 arithmetic is exact mod 2^64, so closed forms are used
-// where available.
+// The folds are generic over the element type: one body per encoding,
+// instantiated for float64 and int64. They branch on the type once per
+// call (integral), never per element. Float64 accumulation deliberately
+// stays element-ordered (a run value is added run-length times, not
+// multiplied) so results are bit-identical to decompressing and running
+// the executor's fused kernels; int64 arithmetic is exact mod 2^64, so
+// closed forms are used where available.
 
 // Op mirrors the executor's sargable comparison vocabulary. The package
 // cannot import internal/exec (exec imports compress), so the enum
@@ -41,9 +44,15 @@ const (
 	OpBetween
 )
 
+// Number is the element domain of the numeric operators: the two 8-byte
+// numeric kinds.
+type Number interface {
+	~int64 | ~float64
+}
+
 // Pred is a sargable predicate over one 8-byte numeric column, the
 // compressed-domain twin of exec.Pred.
-type Pred[T int64 | float64] struct {
+type Pred[T Number] struct {
 	// Op is the comparison.
 	Op Op
 	// Lo is the lower/equality bound (OpEQ, OpGT, OpBetween).
@@ -68,20 +77,31 @@ func (p Pred[T]) Match(x T) bool {
 	}
 }
 
+// fromBits reinterprets an 8-byte pattern as T: math.Float64frombits
+// for floats, a plain conversion for integers.
+func fromBits[T Number](u uint64) T { return *(*T)(unsafe.Pointer(&u)) }
+
+// integral reports whether T is an integer kind (0.5 truncates to 0).
+func integral[T Number]() bool {
+	half := 0.5
+	return T(half) == 0
+}
+
 // codeBits is a 256-way bitset over dictionary codes.
 type codeBits [4]uint64
 
 func (b *codeBits) set(code int)       { b[code>>6] |= 1 << (code & 63) }
 func (b *codeBits) has(code byte) bool { return b[code>>6]&(1<<(code&63)) != 0 }
 
-// dictFloat64 decodes dictionary entry code.
-func (c *Column) dictFloat64(code int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(c.dict[code*8:]))
-}
-
-// dictInt64 decodes dictionary entry code.
-func (c *Column) dictInt64(code int) int64 {
-	return int64(binary.LittleEndian.Uint64(c.dict[code*8:]))
+// dictFilter decodes the dictionary into vals and marks the codes whose
+// value matches p.
+func dictFilter[T Number](c *Column, p Pred[T], bits *codeBits, vals *[256]T) {
+	for code := 0; code < len(c.dict)/8; code++ {
+		vals[code] = fromBits[T](binary.LittleEndian.Uint64(c.dict[code*8:]))
+		if p.Match(vals[code]) {
+			bits.set(code)
+		}
+	}
 }
 
 // errNot8 rejects non-8-byte columns from the numeric operators.
@@ -92,110 +112,75 @@ func (c *Column) errNot8(what string) error {
 	return nil
 }
 
-// SumFloat64Where computes SUM(x), COUNT(*) WHERE p over an 8-byte
-// IEEE-754 column in the compressed domain. Results are bit-identical
-// to decompressing and summing elementwise in order.
-func (c *Column) SumFloat64Where(p Pred[float64]) (float64, int64, error) {
-	if err := c.errNot8("float64 sum-where"); err != nil {
+// SumWhere computes SUM(x), COUNT(*) WHERE p over an 8-byte column in
+// the compressed domain. Float results are bit-identical to
+// decompressing and summing elementwise in order; integer results are
+// exact mod 2^64.
+func SumWhere[T Number](c *Column, p Pred[T]) (T, int64, error) {
+	if err := c.errNot8("sum-where"); err != nil {
 		return 0, 0, err
 	}
-	var sum float64
+	var sum T
 	var n int64
 	switch c.enc {
 	case RLE:
-		// One predicate evaluation per run; the matching value is still
-		// accumulated once per element so float ordering is preserved.
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(c.runVals[k*8:]))
-			if p.Match(v) {
-				for i := start; i < end; i++ {
-					sum += v
-				}
-				n += int64(end - start)
-			}
-			start = end
-		}
+		sum, n = rleSumWhere(c, p)
 	case Dict:
-		var bits codeBits
-		var vals [256]float64
-		for code := 0; code < len(c.dict)/8; code++ {
-			v := c.dictFloat64(code)
-			vals[code] = v
-			if p.Match(v) {
-				bits.set(code)
-			}
-		}
-		for _, code := range c.codes {
-			if bits.has(code) {
-				sum += vals[code]
-				n++
-			}
-		}
+		sum, n = dictSumWhere(c, p)
 	case FOR:
-		// FOR frames the value's bit pattern; IEEE ordering is unrelated
-		// to delta ordering, so floats decode elementwise.
-		for i := 0; i < c.n; i++ {
-			if x := math.Float64frombits(uint64(c.base + int64(c.delta(i)))); p.Match(x) {
-				sum += x
-				n++
-			}
-		}
+		sum, n = forSumWhere(c, p)
 	default:
-		for i := 0; i < c.n; i++ {
-			if x := math.Float64frombits(binary.LittleEndian.Uint64(c.raw[i*8:])); p.Match(x) {
-				sum += x
-				n++
-			}
-		}
+		sum, n = rawSumWhere(c, p)
 	}
 	return sum, n, nil
 }
 
-// SumInt64Where computes SUM(x), COUNT(*) WHERE p over an 8-byte
-// integer column in the compressed domain. Integer addition is exact
-// mod 2^64, so RLE and Dict use closed forms and FOR rewrites the
-// bounds into the delta domain.
-func (c *Column) SumInt64Where(p Pred[int64]) (int64, int64, error) {
-	if err := c.errNot8("int64 sum-where"); err != nil {
-		return 0, 0, err
+// rleSumWhere evaluates p once per run. Integers take the closed form
+// value·length; floats still add the run value once per element so the
+// float order matches the dense scan.
+func rleSumWhere[T Number](c *Column, p Pred[T]) (sum T, n int64) {
+	exact := integral[T]()
+	start := uint32(0)
+	for k, end := range c.runEnds {
+		if v := fromBits[T](binary.LittleEndian.Uint64(c.runVals[k*8:])); p.Match(v) {
+			if exact {
+				sum += v * T(end-start)
+			} else {
+				for i := start; i < end; i++ {
+					sum += v
+				}
+			}
+			n += int64(end - start)
+		}
+		start = end
 	}
-	var sum, n int64
-	switch c.enc {
-	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			v := int64(binary.LittleEndian.Uint64(c.runVals[k*8:]))
-			if p.Match(v) {
-				sum += v * int64(end-start)
-				n += int64(end - start)
-			}
-			start = end
+	return sum, n
+}
+
+// dictSumWhere tests one code bit per element against the pre-filtered
+// dictionary.
+func dictSumWhere[T Number](c *Column, p Pred[T]) (sum T, n int64) {
+	var bits codeBits
+	var vals [256]T
+	dictFilter(c, p, &bits, &vals)
+	for _, code := range c.codes {
+		if bits.has(code) {
+			sum += vals[code]
+			n++
 		}
-	case Dict:
-		var bits codeBits
-		var vals [256]int64
-		for code := 0; code < len(c.dict)/8; code++ {
-			v := c.dictInt64(code)
-			vals[code] = v
-			if p.Match(v) {
-				bits.set(code)
-			}
-		}
-		var counts [256]int64
-		for _, code := range c.codes {
-			counts[code]++
-		}
-		for code := 0; code < len(c.dict)/8; code++ {
-			if bits.has(byte(code)) {
-				sum += vals[code] * counts[code]
-				n += counts[code]
-			}
-		}
-	case FOR:
-		dLo, dHi, ok := c.forDeltaBounds(p)
+	}
+	return sum, n
+}
+
+// forSumWhere compares integer deltas against the predicate rewritten
+// into the delta domain and adds the bias base·count once. FOR frames a
+// float's bit pattern, and IEEE ordering is unrelated to delta
+// ordering, so floats decode elementwise.
+func forSumWhere[T Number](c *Column, p Pred[T]) (sum T, n int64) {
+	if integral[T]() {
+		dLo, dHi, ok := c.forDeltaBounds(Pred[int64]{Op: p.Op, Lo: int64(p.Lo), Hi: int64(p.Hi)})
 		if !ok {
-			return 0, 0, nil
+			return 0, 0
 		}
 		var ds uint64
 		for i := 0; i < c.n; i++ {
@@ -204,108 +189,69 @@ func (c *Column) SumInt64Where(p Pred[int64]) (int64, int64, error) {
 				n++
 			}
 		}
-		sum = c.base*n + int64(ds)
-	default:
-		for i := 0; i < c.n; i++ {
-			if x := int64(binary.LittleEndian.Uint64(c.raw[i*8:])); p.Match(x) {
-				sum += x
-				n++
-			}
+		return T(c.base*n + int64(ds)), n
+	}
+	for i := 0; i < c.n; i++ {
+		if x := fromBits[T](uint64(c.base) + c.delta(i)); p.Match(x) {
+			sum += x
+			n++
 		}
 	}
-	return sum, n, nil
+	return sum, n
 }
 
-// CountWhereFloat64 counts matches of p over an 8-byte IEEE-754 column
-// in the compressed domain.
-func (c *Column) CountWhereFloat64(p Pred[float64]) (int64, error) {
-	if err := c.errNot8("float64 count-where"); err != nil {
+// rawSumWhere is the plain fused scan.
+func rawSumWhere[T Number](c *Column, p Pred[T]) (sum T, n int64) {
+	for i := 0; i < c.n; i++ {
+		if x := fromBits[T](binary.LittleEndian.Uint64(c.raw[i*8:])); p.Match(x) {
+			sum += x
+			n++
+		}
+	}
+	return sum, n
+}
+
+// Sum aggregates an 8-byte column without materializing. RLE and Dict
+// use closed forms (run value × run length, dictionary value × code
+// frequency): exact for integers, a deliberate reassociation for floats.
+// FOR sums integer deltas against the frame base.
+func Sum[T Number](c *Column) (T, error) {
+	if err := c.errNot8("sum"); err != nil {
 		return 0, err
 	}
-	var n int64
+	var sum T
 	switch c.enc {
 	case RLE:
 		start := uint32(0)
 		for k, end := range c.runEnds {
-			if p.Match(math.Float64frombits(binary.LittleEndian.Uint64(c.runVals[k*8:]))) {
-				n += int64(end - start)
-			}
+			sum += fromBits[T](binary.LittleEndian.Uint64(c.runVals[k*8:])) * T(end-start)
 			start = end
 		}
 	case Dict:
-		var bits codeBits
-		for code := 0; code < len(c.dict)/8; code++ {
-			if p.Match(c.dictFloat64(code)) {
-				bits.set(code)
-			}
-		}
+		var counts [256]int
 		for _, code := range c.codes {
-			if bits.has(code) {
-				n++
-			}
+			counts[code]++
+		}
+		for code := 0; code < len(c.dict)/8; code++ {
+			sum += fromBits[T](binary.LittleEndian.Uint64(c.dict[code*8:])) * T(counts[code])
 		}
 	case FOR:
-		for i := 0; i < c.n; i++ {
-			if p.Match(math.Float64frombits(uint64(c.base + int64(c.delta(i))))) {
-				n++
+		if integral[T]() {
+			var ds uint64
+			for i := 0; i < c.n; i++ {
+				ds += c.delta(i)
 			}
+			return T(c.base*int64(c.n) + int64(ds)), nil
+		}
+		for i := 0; i < c.n; i++ {
+			sum += fromBits[T](uint64(c.base) + c.delta(i))
 		}
 	default:
 		for i := 0; i < c.n; i++ {
-			if p.Match(math.Float64frombits(binary.LittleEndian.Uint64(c.raw[i*8:]))) {
-				n++
-			}
+			sum += fromBits[T](binary.LittleEndian.Uint64(c.raw[i*8:]))
 		}
 	}
-	return n, nil
-}
-
-// CountWhereInt64 counts matches of p over an 8-byte integer column in
-// the compressed domain.
-func (c *Column) CountWhereInt64(p Pred[int64]) (int64, error) {
-	if err := c.errNot8("int64 count-where"); err != nil {
-		return 0, err
-	}
-	var n int64
-	switch c.enc {
-	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			if p.Match(int64(binary.LittleEndian.Uint64(c.runVals[k*8:]))) {
-				n += int64(end - start)
-			}
-			start = end
-		}
-	case Dict:
-		var bits codeBits
-		for code := 0; code < len(c.dict)/8; code++ {
-			if p.Match(c.dictInt64(code)) {
-				bits.set(code)
-			}
-		}
-		for _, code := range c.codes {
-			if bits.has(code) {
-				n++
-			}
-		}
-	case FOR:
-		dLo, dHi, ok := c.forDeltaBounds(p)
-		if !ok {
-			return 0, nil
-		}
-		for i := 0; i < c.n; i++ {
-			if d := c.delta(i); dLo <= d && d <= dHi {
-				n++
-			}
-		}
-	default:
-		for i := 0; i < c.n; i++ {
-			if p.Match(int64(binary.LittleEndian.Uint64(c.raw[i*8:]))) {
-				n++
-			}
-		}
-	}
-	return n, nil
+	return sum, nil
 }
 
 // forDeltaBounds rewrites an int64 predicate into the FOR delta domain:

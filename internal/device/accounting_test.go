@@ -24,9 +24,6 @@ func TestVecRejectsBothBackings(t *testing.T) {
 	if _, err := g.ReduceSumFloat64(bad, cfg); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("both Buf and Data: err = %v, want ErrBadLaunch", err)
 	}
-	if _, err := g.ReduceSumInt64(bad, cfg); !errors.Is(err, ErrBadLaunch) {
-		t.Errorf("int64 reduce: err = %v, want ErrBadLaunch", err)
-	}
 	if _, _, err := g.ReduceSumFloat64Where(bad, 0, 1, cfg); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("fused reduce: err = %v, want ErrBadLaunch", err)
 	}

@@ -32,6 +32,15 @@ func (g *GPU) ReduceSumFloat64WhereCompressed(buf *Buffer, lo, hi float64, cfg L
 // priced duration without advancing the clock (streams charge an
 // overlapped total at Wait).
 func (g *GPU) reduceSumFloat64WhereCompressed(buf *Buffer, lo, hi float64, cfg LaunchConfig) (float64, int64, float64, error) {
+	return g.reduceCompressed(buf, cfg, func(col *compress.Column) (float64, int64, error) {
+		return compress.SumWhere(col, compress.Pred[float64]{Op: compress.OpBetween, Lo: lo, Hi: hi})
+	})
+}
+
+// reduceCompressed decodes the compressed column image resident in buf,
+// folds it with fold, and prices the decode kernel plus the dense tree
+// reduction over the decoded column.
+func (g *GPU) reduceCompressed(buf *Buffer, cfg LaunchConfig, fold func(col *compress.Column) (float64, int64, error)) (float64, int64, float64, error) {
 	if err := g.validate(cfg, true); err != nil {
 		return 0, 0, 0, err
 	}
@@ -46,7 +55,7 @@ func (g *GPU) reduceSumFloat64WhereCompressed(buf *Buffer, lo, hi float64, cfg L
 	if col.ElementSize() != 8 {
 		return 0, 0, 0, fmt.Errorf("%w: float64 reduction over %d-byte elements", ErrBadLaunch, col.ElementSize())
 	}
-	total, n, err := col.SumFloat64Where(compress.Pred[float64]{Op: compress.OpBetween, Lo: lo, Hi: hi})
+	total, n, err := fold(col)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -83,28 +92,11 @@ func (g *GPU) ReduceSumFloat64Compressed(buf *Buffer, cfg LaunchConfig) (float64
 // reduceSumFloat64Compressed runs the unfiltered decode+reduce and
 // returns its priced duration without advancing the clock.
 func (g *GPU) reduceSumFloat64Compressed(buf *Buffer, cfg LaunchConfig) (float64, float64, error) {
-	if err := g.validate(cfg, true); err != nil {
-		return 0, 0, err
-	}
-	data, err := buf.bytes()
-	if err != nil {
-		return 0, 0, err
-	}
-	col, err := compress.Decode(data)
-	if err != nil {
-		return 0, 0, fmt.Errorf("device: compressed image: %w", err)
-	}
-	if col.ElementSize() != 8 {
-		return 0, 0, fmt.Errorf("%w: float64 reduction over %d-byte elements", ErrBadLaunch, col.ElementSize())
-	}
-	total, err := col.SumFloat64()
-	if err != nil {
-		return 0, 0, err
-	}
-	g.countKernels(3)
-	ns := g.prof.DecodeKernelNs(int64(len(data)), int64(col.Len()*col.ElementSize())) +
-		g.prof.ReduceKernelNs(int64(col.Len()), col.ElementSize(), col.ElementSize(), cfg.Blocks, cfg.ThreadsPerBlock)
-	return total, ns, nil
+	total, _, ns, err := g.reduceCompressed(buf, cfg, func(col *compress.Column) (float64, int64, error) {
+		sum, err := compress.Sum[float64](col)
+		return sum, 0, err
+	})
+	return total, ns, err
 }
 
 // ReduceSumFloat64Compressed enqueues the unfiltered decode+reduce on

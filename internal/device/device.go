@@ -432,41 +432,6 @@ func (g *GPU) reduceSumFloat64(v Vec, cfg LaunchConfig) (float64, float64, error
 	return total, g.prof.ReduceKernelNs(int64(v.Len), v.Size, v.Stride, cfg.Blocks, cfg.ThreadsPerBlock), nil
 }
 
-// ReduceSumInt64 is ReduceSumFloat64 for int64 elements.
-func (g *GPU) ReduceSumInt64(v Vec, cfg LaunchConfig) (int64, error) {
-	total, ns, err := g.reduceSumInt64(v, cfg)
-	if err != nil {
-		return 0, err
-	}
-	g.charge(ns)
-	return total, nil
-}
-
-// reduceSumInt64 runs the reduction and returns its priced duration
-// without advancing the clock.
-func (g *GPU) reduceSumInt64(v Vec, cfg LaunchConfig) (int64, float64, error) {
-	if err := g.validate(cfg, true); err != nil {
-		return 0, 0, err
-	}
-	buf, err := v.check()
-	if err != nil {
-		return 0, 0, err
-	}
-	if v.Size != 8 {
-		return 0, 0, fmt.Errorf("%w: int64 reduction over %d-byte elements", ErrBadLaunch, v.Size)
-	}
-	load := func(i int) float64 {
-		return float64(int64(binary.LittleEndian.Uint64(buf[v.Base+i*v.Stride:])))
-	}
-	// Int64 sums in the engines stay well inside float64's exact-integer
-	// range; the shared block reducer keeps one code path.
-	partials := g.blockReduce(v.Len, cfg, load)
-	total := treeReduceInPlace(partials)
-	g.putF64(partials)
-	g.countKernels(2)
-	return int64(total), g.prof.ReduceKernelNs(int64(v.Len), v.Size, v.Stride, cfg.Blocks, cfg.ThreadsPerBlock), nil
-}
-
 // ReduceSumFloat64Where fuses a closed-interval filter [lo, hi] into
 // the tree reduction: each thread loads its grid-stride elements, keeps
 // those inside the interval, and accumulates the running sum and the

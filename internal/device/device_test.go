@@ -81,29 +81,6 @@ func TestReduceSumStrided(t *testing.T) {
 	}
 }
 
-func TestReduceSumInt64(t *testing.T) {
-	g, _ := newGPU()
-	n := 4096
-	buf, err := g.Alloc(n * 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer buf.Free()
-	host := make([]byte, n*8)
-	var want int64
-	for i := 0; i < n; i++ {
-		x := int64(i*3 - 1000)
-		want += x
-		binary.LittleEndian.PutUint64(host[i*8:], uint64(x))
-	}
-	g.CopyToDevice(buf, 0, host)
-	v := Vec{Buf: buf, Stride: 8, Size: 8, Len: n}
-	got, err := g.ReduceSumInt64(v, LaunchConfig{Blocks: 32, ThreadsPerBlock: 64})
-	if err != nil || got != want {
-		t.Fatalf("sum = %d, %v; want %d", got, err, want)
-	}
-}
-
 func TestReduceEmptyVector(t *testing.T) {
 	g, _ := newGPU()
 	buf, _ := g.Alloc(8)

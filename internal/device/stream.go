@@ -113,16 +113,6 @@ func (s *Stream) ReduceSumFloat64(v Vec, cfg LaunchConfig) (float64, error) {
 	return total, nil
 }
 
-// ReduceSumInt64 enqueues an int64 reduction kernel.
-func (s *Stream) ReduceSumInt64(v Vec, cfg LaunchConfig) (int64, error) {
-	total, ns, err := s.gpu.reduceSumInt64(v, cfg)
-	if err != nil {
-		return 0, err
-	}
-	s.addCompute(ns)
-	return total, nil
-}
-
 // ReduceSumFloat64Where enqueues a fused filter+reduction kernel.
 func (s *Stream) ReduceSumFloat64Where(v Vec, lo, hi float64, cfg LaunchConfig) (float64, int64, error) {
 	total, n, ns, err := s.gpu.reduceSumFloat64Where(v, lo, hi, cfg)

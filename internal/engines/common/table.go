@@ -201,19 +201,6 @@ func (t *Table) SumFloat64(col int) (float64, error) {
 	return exec.SumFloat64(t.Cfg, pieces)
 }
 
-// SumInt64 aggregates an int64 attribute over the cheapest layout.
-func (t *Table) SumInt64(col int) (int64, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return 0, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return 0, err
-	}
-	return exec.SumInt64(t.Cfg, pieces)
-}
-
 // SumFloat64Where aggregates (sum, count) of col over the rows matching
 // p, letting the executor prune fragments whose zone maps prove them
 // match-free (ColumnView attaches each fragment's zone to its piece).
@@ -229,19 +216,6 @@ func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, 
 	return exec.SumFloat64Where(t.Cfg, pieces, p)
 }
 
-// SumInt64Where is SumFloat64Where for int64 attributes.
-func (t *Table) SumInt64Where(col int, p exec.Pred[int64]) (int64, int64, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return 0, 0, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return 0, 0, err
-	}
-	return exec.SumInt64Where(t.Cfg, pieces, p)
-}
-
 // CountWhereFloat64 counts the rows matching p on col with zone pruning.
 func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) {
 	l := t.LayoutForScan(col)
@@ -253,19 +227,6 @@ func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) 
 		return 0, err
 	}
 	return exec.CountWhereFloat64(t.Cfg, pieces, p)
-}
-
-// CountWhereInt64 is CountWhereFloat64 for int64 attributes.
-func (t *Table) CountWhereInt64(col int, p exec.Pred[int64]) (int64, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return 0, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return 0, err
-	}
-	return exec.CountWhereInt64(t.Cfg, pieces, p)
 }
 
 // GroupSumFloat64Where computes SELECT key, SUM(val), COUNT(*) WHERE p

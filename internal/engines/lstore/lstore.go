@@ -401,7 +401,7 @@ func (t *Table) SumFloat64(col int) (float64, error) {
 	c := t.cols[col]
 	var sum float64
 	if c.sealed != nil {
-		s, err := c.sealed.SumFloat64()
+		s, err := compress.Sum[float64](c.sealed)
 		if err != nil {
 			return 0, err
 		}

@@ -41,185 +41,61 @@ func splitComp(pieces []Piece) (raw, comp []Piece) {
 	return raw, comp
 }
 
-// compPredF64 bridges an exec predicate to its compress twin (the enums
+// compPred bridges an exec predicate to its compress twin (the enums
 // share ordering and semantics).
-func compPredF64(p Pred[float64]) compress.Pred[float64] {
-	return compress.Pred[float64]{Op: compress.Op(p.Op), Lo: p.Lo, Hi: p.Hi}
+func compPred[T Number](p Pred[T]) compress.Pred[T] {
+	return compress.Pred[T]{Op: compress.Op(p.Op), Lo: p.Lo, Hi: p.Hi}
 }
 
-// compPredI64 is compPredF64 for int64 predicates.
-func compPredI64(p Pred[int64]) compress.Pred[int64] {
-	return compress.Pred[int64]{Op: compress.Op(p.Op), Lo: p.Lo, Hi: p.Hi}
+// compSumWhere folds SUM/COUNT WHERE p over compressed pieces.
+func compSumWhere[T Number](cfg Config, pieces []Piece, p Pred[T]) (T, int64, error) {
+	cp := compPred(p)
+	return compFold(cfg, pieces, func(c *compress.Column) (T, int64, error) {
+		return compress.SumWhere(c, cp)
+	})
 }
 
-// forEachComp runs kernel over every compressed piece — concurrently
-// when the policy has workers to spare — and reports the first error.
-// Kernels write their partials into per-piece slots, so callers fold
-// results in piece order regardless of scheduling.
-func forEachComp(cfg Config, pieces []Piece, kernel func(i int, c *compress.Column) error) error {
-	th := cfg.threads()
-	if th <= 1 || len(pieces) == 1 {
-		for i, pc := range pieces {
-			if err := kernel(i, pc.Comp); err != nil {
-				return err
+// compFold runs fold over every compressed piece — concurrently, capped
+// at the policy's worker count, when it has workers to spare — and adds
+// the per-piece (sum, count) partials in piece order regardless of
+// scheduling. The first error wins.
+func compFold[T Number](cfg Config, pieces []Piece, fold func(c *compress.Column) (T, int64, error)) (T, int64, error) {
+	parts := make([]partial[T], len(pieces))
+	errs := make([]error, len(pieces))
+	run := func(i int) {
+		parts[i].sum, parts[i].n, errs[i] = fold(pieces[i].Comp)
+	}
+	if th := cfg.threads(); th <= 1 || len(pieces) == 1 {
+		for i := range pieces {
+			run(i)
+			if errs[i] != nil {
+				break
 			}
 		}
-		return nil
-	}
-	errs := make([]error, len(pieces))
-	sem := make(chan struct{}, th)
-	var wg sync.WaitGroup
-	for i, pc := range pieces {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, c *compress.Column) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = kernel(i, c)
-		}(i, pc.Comp)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	} else {
+		sem := make(chan struct{}, th)
+		var wg sync.WaitGroup
+		for i := range pieces {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(i int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				run(i)
+			}(i)
 		}
+		wg.Wait()
 	}
-	return nil
-}
-
-// compSumCountF64 folds SUM/COUNT WHERE over compressed pieces.
-func compSumCountF64(cfg Config, pieces []Piece, p Pred[float64]) (float64, int64, error) {
-	if len(pieces) == 0 {
-		return 0, 0, nil
-	}
-	cp := compPredF64(p)
-	sums := make([]float64, len(pieces))
-	counts := make([]int64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		s, n, err := c.SumFloat64Where(cp)
-		sums[i], counts[i] = s, n
-		return err
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var sum float64
+	var sum T
 	var n int64
-	for i := range sums {
-		sum += sums[i]
-		n += counts[i]
+	for i, pt := range parts {
+		if errs[i] != nil {
+			return 0, 0, fmt.Errorf("%w: %v", ErrBadColumn, errs[i])
+		}
+		sum += pt.sum
+		n += pt.n
 	}
 	return sum, n, nil
-}
-
-// compSumCountI64 is compSumCountF64 for int64 predicates.
-func compSumCountI64(cfg Config, pieces []Piece, p Pred[int64]) (int64, int64, error) {
-	if len(pieces) == 0 {
-		return 0, 0, nil
-	}
-	cp := compPredI64(p)
-	sums := make([]int64, len(pieces))
-	counts := make([]int64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		s, n, err := c.SumInt64Where(cp)
-		sums[i], counts[i] = s, n
-		return err
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var sum, n int64
-	for i := range sums {
-		sum += sums[i]
-		n += counts[i]
-	}
-	return sum, n, nil
-}
-
-// compCountF64 folds COUNT WHERE over compressed pieces.
-func compCountF64(cfg Config, pieces []Piece, p Pred[float64]) (int64, error) {
-	if len(pieces) == 0 {
-		return 0, nil
-	}
-	cp := compPredF64(p)
-	counts := make([]int64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		n, err := c.CountWhereFloat64(cp)
-		counts[i] = n
-		return err
-	})
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	return n, nil
-}
-
-// compCountI64 is compCountF64 for int64 predicates.
-func compCountI64(cfg Config, pieces []Piece, p Pred[int64]) (int64, error) {
-	if len(pieces) == 0 {
-		return 0, nil
-	}
-	cp := compPredI64(p)
-	counts := make([]int64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		n, err := c.CountWhereInt64(cp)
-		counts[i] = n
-		return err
-	})
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	return n, nil
-}
-
-// compSumF64 folds the unfiltered float64 sum over compressed pieces.
-func compSumF64(cfg Config, pieces []Piece) (float64, error) {
-	if len(pieces) == 0 {
-		return 0, nil
-	}
-	sums := make([]float64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		s, err := c.SumFloat64()
-		sums[i] = s
-		return err
-	})
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var sum float64
-	for _, s := range sums {
-		sum += s
-	}
-	return sum, nil
-}
-
-// compSumI64 is compSumF64 for int64 columns (exact, mod 2^64).
-func compSumI64(cfg Config, pieces []Piece) (int64, error) {
-	if len(pieces) == 0 {
-		return 0, nil
-	}
-	sums := make([]int64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		s, err := c.SumInt64()
-		sums[i] = s
-		return err
-	})
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var sum int64
-	for _, s := range sums {
-		sum += s
-	}
-	return sum, nil
 }
 
 // rejectComp guards operators without a compressed path.

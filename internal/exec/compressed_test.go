@@ -121,15 +121,21 @@ func floatShape(rng *rand.Rand, enc compress.Encoding, n int) []float64 {
 }
 
 // intShape is floatShape for int64 columns, including the FOR width
-// transition points (1-, 2- and 4-byte deltas).
+// transition points (1-, 2- and 4-byte deltas). Half the shapes sit on
+// a large base anywhere in the int64 range, so sums wrap mod 2^64 and
+// leave float64's exact-integer range.
 func intShape(rng *rand.Rand, enc compress.Encoding, n int) []int64 {
+	var base int64
+	if rng.Intn(2) == 0 {
+		base = int64(rng.Uint64())
+	}
 	vals := make([]int64, n)
 	switch enc {
 	case compress.RLE:
-		v := int64(rng.Intn(1000))
+		v := base + int64(rng.Intn(1000))
 		for i := range vals {
 			if rng.Intn(7) == 0 {
-				v = int64(rng.Intn(1000))
+				v = base + int64(rng.Intn(1000))
 			}
 			vals[i] = v
 		}
@@ -137,17 +143,22 @@ func intShape(rng *rand.Rand, enc compress.Encoding, n int) []int64 {
 		card := 1 + rng.Intn(16)
 		dict := make([]int64, card)
 		for i := range dict {
-			dict[i] = int64(rng.Intn(2000) - 1000)
+			dict[i] = base + int64(rng.Intn(2000)-1000)
 		}
 		for i := range vals {
 			vals[i] = dict[rng.Intn(card)]
 		}
 	case compress.FOR:
-		base := int64(rng.Intn(1 << 20))
 		// Exercise the delta-width boundaries: spans that just fit and
 		// just overflow the 1- and 2-byte widths, plus a wide 4-byte span.
 		spans := []int64{255, 256, 65535, 65536, 1 << 24}
 		span := spans[rng.Intn(len(spans))]
+		// The frame must not wrap: keep base+span inside int64.
+		if base == 0 {
+			base = int64(rng.Intn(1 << 20))
+		} else if base > math.MaxInt64-span {
+			base -= span
+		}
 		for i := range vals {
 			vals[i] = base + rng.Int63n(span+1)
 		}
@@ -158,7 +169,11 @@ func intShape(rng *rand.Rand, enc compress.Encoding, n int) []int64 {
 		}
 	default: // Raw
 		for i := range vals {
-			vals[i] = rng.Int63n(1<<40) - (1 << 39)
+			if base != 0 {
+				vals[i] = int64(rng.Uint64())
+			} else {
+				vals[i] = rng.Int63n(1<<40) - (1 << 39)
+			}
 		}
 	}
 	return vals
@@ -276,47 +291,46 @@ func TestCompressedOpsMatchDecompressed(t *testing.T) {
 					enc, gotUS, math.Float64bits(gotUS), wantUS, math.Float64bits(wantUS))
 			}
 
-			// int64 column. Magnitudes stay under 2^53/len so the dense
-			// baseline's float64 partials are exact.
+			// int64 column, exact mod 2^64 on both paths.
 			ivals := intShape(rng, enc, n)
 			iimg := encodeI64(ivals)
 			iraw := rawPieces(iimg, n, np)
 			icomp := compPieces(t, enc, iimg, n, np)
 			ip := randCompPredI64(rng, ivals)
 
-			wantISum, wantIN, err := SumInt64Where(cfg, iraw, ip)
+			wantISum, wantIN, err := SumWhere(cfg, iraw, ip)
 			if err != nil {
-				t.Fatalf("%v: baseline SumInt64Where: %v", enc, err)
+				t.Fatalf("%v: baseline SumWhere: %v", enc, err)
 			}
-			gotISum, gotIN, err := SumInt64Where(cfg, icomp, ip)
+			gotISum, gotIN, err := SumWhere(cfg, icomp, ip)
 			if err != nil {
-				t.Fatalf("%v: compressed SumInt64Where: %v", enc, err)
+				t.Fatalf("%v: compressed SumWhere: %v", enc, err)
 			}
 			if wantISum != gotISum || wantIN != gotIN {
-				t.Fatalf("%v round %d: SumInt64Where(%v) = (%d, %d), want (%d, %d)",
+				t.Fatalf("%v round %d: SumWhere(%v) = (%d, %d), want (%d, %d)",
 					enc, round, ip, gotISum, gotIN, wantISum, wantIN)
 			}
-			wantICnt, err := CountWhereInt64(cfg, iraw, ip)
+			wantICnt, err := CountWhere(cfg, iraw, ip)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotICnt, err := CountWhereInt64(cfg, icomp, ip)
+			gotICnt, err := CountWhere(cfg, icomp, ip)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if wantICnt != gotICnt {
-				t.Fatalf("%v: CountWhereInt64(%v) = %d, want %d", enc, ip, gotICnt, wantICnt)
+				t.Fatalf("%v: CountWhere(%v) = %d, want %d", enc, ip, gotICnt, wantICnt)
 			}
-			wantIUS, err := SumInt64(cfg, iraw)
+			wantIUS, err := Sum[int64](cfg, iraw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotIUS, err := SumInt64(cfg, icomp)
+			gotIUS, err := Sum[int64](cfg, icomp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if wantIUS != gotIUS {
-				t.Fatalf("%v: SumInt64 = %d, want %d", enc, gotIUS, wantIUS)
+				t.Fatalf("%v: Sum[int64] = %d, want %d", enc, gotIUS, wantIUS)
 			}
 		}
 	}

@@ -15,16 +15,15 @@
 //
 // A third policy, MorselDriven, executes on the process-wide resident
 // worker pool of internal/exec/pool: operators enqueue fixed-size
-// morsels instead of spawning goroutines, and per-worker partial-result
-// buffers are recycled through sync.Pool, so steady-state calls pay
-// neither thread management nor allocation on the hot path.
+// morsels instead of spawning goroutines, and position lists and
+// extrema scratch are recycled through sync.Pool, so steady-state calls
+// pay no thread management and allocate only a few words of per-slot
+// partials.
 package exec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -311,68 +310,49 @@ func scanPieceNs(h perfmodel.HostProfile, p Piece, threads int) float64 {
 	return h.ScanSumNs(int64(p.Vec.Len), p.Vec.Size, p.Vec.Stride, threads)
 }
 
-// SumFloat64 sums a float64 column given as pieces. Under MultiThreaded
-// the element positions are partitioned blockwise across workers.
-func SumFloat64(cfg Config, pieces []Piece) (float64, error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return 0, fmt.Errorf("%w: float64 sum over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
+// Sum sums a numeric column given as pieces. Under MultiThreaded the
+// element positions are partitioned blockwise across workers. The sum
+// accumulates in T, so int64 sums are exact mod 2^64.
+func Sum[T Number](cfg Config, pieces []Piece) (T, error) {
+	if err := checkSize8(pieces, "sum"); err != nil {
+		return 0, err
 	}
 	ot := obsSum.start(cfg.Policy)
+	defer ot.end()
 	raw, comp := splitComp(pieces)
-	sum := parallelSum(cfg, raw, func(v layout.ColVector, from, to int) float64 {
-		var acc float64
-		off := v.Base + from*v.Stride
-		for i := from; i < to; i++ {
-			acc += math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:]))
-			off += v.Stride
-		}
-		return acc
-	})
+	sum, _ := parallelFold(cfg, raw, sumRange[T])
 	if len(comp) > 0 {
-		cs, err := compSumF64(cfg, comp)
+		cs, _, err := compFold(cfg, comp, func(c *compress.Column) (T, int64, error) {
+			s, err := compress.Sum[T](c)
+			return s, 0, err
+		})
 		if err != nil {
-			ot.end()
 			return 0, err
 		}
 		sum += cs
 	}
 	cfg.chargeScan(pieces)
-	ot.end()
 	return sum, nil
 }
 
-// SumInt64 sums an int64 column given as pieces.
-func SumInt64(cfg Config, pieces []Piece) (int64, error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return 0, fmt.Errorf("%w: int64 sum over %d-byte fields", ErrBadColumn, p.Vec.Size)
+// SumFloat64 is Sum over a float64 column.
+func SumFloat64(cfg Config, pieces []Piece) (float64, error) { return Sum[float64](cfg, pieces) }
+
+// sumRange is the unfiltered kernel: the plain sum of v[from:to), with
+// the same dense stride-8 case as sumWhere.
+func sumRange[T Number](v layout.ColVector, from, to int) (T, int64) {
+	var acc T
+	if v.Stride == 8 {
+		for data := v.Data[v.Base+from*8 : v.Base+to*8]; len(data) >= 8; data = data[8:] {
+			acc += load[T](data)
 		}
+		return acc, 0
 	}
-	ot := obsSum.start(cfg.Policy)
-	raw, comp := splitComp(pieces)
-	sum := parallelSum(cfg, raw, func(v layout.ColVector, from, to int) float64 {
-		var acc int64
-		off := v.Base + from*v.Stride
-		for i := from; i < to; i++ {
-			acc += int64(binary.LittleEndian.Uint64(v.Data[off:]))
-			off += v.Stride
-		}
-		return float64(acc)
-	})
-	total := int64(sum)
-	if len(comp) > 0 {
-		cs, err := compSumI64(cfg, comp)
-		if err != nil {
-			ot.end()
-			return 0, err
-		}
-		total += cs
+	data, stride := v.Data, v.Stride
+	for off, end := v.Base+from*stride, v.Base+to*stride; off < end; off += stride {
+		acc += load[T](data[off:])
 	}
-	cfg.chargeScan(pieces)
-	ot.end()
-	return total, nil
+	return acc, 0
 }
 
 // eachRange visits the sub-ranges of pieces covering the global element
@@ -399,31 +379,6 @@ func eachRange(pieces []Piece, gFrom, gTo int, fn func(p Piece, from, to int)) {
 	}
 }
 
-// foldRange applies the sum kernel to the global element positions
-// [gFrom, gTo) across pieces and returns the partial sum.
-func foldRange(pieces []Piece, gFrom, gTo int, kernel func(v layout.ColVector, from, to int) float64) float64 {
-	var acc float64
-	base := 0
-	for _, p := range pieces {
-		pFrom, pTo := gFrom-base, gTo-base
-		base += p.Vec.Len
-		if pTo <= 0 {
-			break
-		}
-		if pFrom < 0 {
-			pFrom = 0
-		}
-		if pFrom >= p.Vec.Len {
-			continue
-		}
-		if pTo > p.Vec.Len {
-			pTo = p.Vec.Len
-		}
-		acc += kernel(p.Vec, pFrom, pTo)
-	}
-	return acc
-}
-
 // blockRange returns worker w's blockwise share of total positions split
 // over th workers; from >= to means the worker has no share.
 func blockRange(w, th, total int) (from, to int) {
@@ -439,51 +394,63 @@ func blockRange(w, th, total int) (from, to int) {
 	return from, to
 }
 
-// parallelSum folds pieces with the configured policy. The partial kernel
-// receives a vector and a [from,to) element range and returns its partial
-// sum as float64 (exact for the int64 magnitudes the engines produce).
-func parallelSum(cfg Config, pieces []Piece, kernel func(v layout.ColVector, from, to int) float64) float64 {
+// partial is one worker slot's running (sum, count) fold.
+type partial[T Number] struct {
+	sum T
+	n   int64
+}
+
+// parallelFold folds pieces under the configured policy. The kernel
+// returns the (sum, count) partials of a [from, to) element range of one
+// vector; partials accumulate in T per worker slot, range by range in
+// position order, and the slots fold in slot order. SingleThreaded folds
+// whole pieces in piece order on the caller.
+func parallelFold[T Number](cfg Config, pieces []Piece, kernel func(v layout.ColVector, from, to int) (T, int64)) (T, int64) {
+	var sum T
+	var n int64
 	total := totalLen(pieces)
-	if cfg.Policy == MorselDriven && total > 0 {
-		slots := pool.Slots()
-		partials := pool.GetFloat64s(slots)
-		pool.Run(total, pool.MorselSize(), slots, func(slot, from, to int) {
-			partials[slot] += foldRange(pieces, from, to, kernel)
-		})
-		var acc float64
-		for _, x := range partials {
-			acc += x
-		}
-		pool.PutFloat64s(partials)
-		return acc
-	}
 	th := cfg.threads()
-	if th == 1 {
-		var acc float64
+	if total == 0 || (cfg.Policy != MorselDriven && th == 1) {
 		for _, p := range pieces {
-			acc += kernel(p.Vec, 0, p.Vec.Len)
+			s, c := kernel(p.Vec, 0, p.Vec.Len)
+			sum += s
+			n += c
 		}
-		return acc
+		return sum, n
 	}
-	// Blockwise partitioning of the global position space.
-	partials := pool.GetFloat64s(th)
-	var wg sync.WaitGroup
-	for w := 0; w < th; w++ {
-		gFrom, gTo := blockRange(w, th, total)
-		if gFrom >= gTo {
-			break
+	fold := func(parts []partial[T], slot, gFrom, gTo int) {
+		eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
+			s, c := kernel(p.Vec, from, to)
+			parts[slot].sum += s
+			parts[slot].n += c
+		})
+	}
+	var parts []partial[T]
+	if cfg.Policy == MorselDriven {
+		parts = make([]partial[T], pool.Slots())
+		pool.Run(total, pool.MorselSize(), len(parts), func(slot, from, to int) {
+			fold(parts, slot, from, to)
+		})
+	} else {
+		// Blockwise partitioning of the global position space.
+		parts = make([]partial[T], th)
+		var wg sync.WaitGroup
+		for w := 0; w < th; w++ {
+			gFrom, gTo := blockRange(w, th, total)
+			if gFrom >= gTo {
+				break
+			}
+			wg.Add(1)
+			go func(w, gFrom, gTo int) {
+				defer wg.Done()
+				fold(parts, w, gFrom, gTo)
+			}(w, gFrom, gTo)
 		}
-		wg.Add(1)
-		go func(w, gFrom, gTo int) {
-			defer wg.Done()
-			partials[w] = foldRange(pieces, gFrom, gTo, kernel)
-		}(w, gFrom, gTo)
+		wg.Wait()
 	}
-	wg.Wait()
-	var acc float64
-	for _, x := range partials {
-		acc += x
+	for _, pt := range parts {
+		sum += pt.sum
+		n += pt.n
 	}
-	pool.PutFloat64s(partials)
-	return acc
+	return sum, n
 }

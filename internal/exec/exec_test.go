@@ -114,7 +114,7 @@ func TestColumnViewChunked(t *testing.T) {
 	if pieces[3].Rows.Begin != 96 || pieces[3].Vec.Len != 4 {
 		t.Fatalf("tail piece = %+v", pieces[3])
 	}
-	sum, err := SumInt64(Single(), pieces)
+	sum, err := Sum[int64](Single(), pieces)
 	if err != nil || sum != 99*100/2 {
 		t.Fatalf("chunked sum = %d, %v", sum, err)
 	}
@@ -173,7 +173,7 @@ func TestSumInt64AllPolicies(t *testing.T) {
 	}
 	want := int64(776 * 777 / 2)
 	for _, cfg := range []Config{Single(), Multi(), MultiN(8), Morsel()} {
-		got, err := SumInt64(cfg, pieces)
+		got, err := Sum[int64](cfg, pieces)
 		if err != nil || got != want {
 			t.Fatalf("sum = %d, %v; want %d", got, err, want)
 		}
@@ -186,7 +186,7 @@ func TestSumRejectsWrongWidth(t *testing.T) {
 	if _, err := SumFloat64(Single(), pieces); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("float sum err = %v", err)
 	}
-	if _, err := SumInt64(Single(), pieces); !errors.Is(err, ErrBadColumn) {
+	if _, err := Sum[int64](Single(), pieces); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("int sum err = %v", err)
 	}
 	if _, err := SelectFloat64(Single(), pieces, func(float64) bool { return true }); !errors.Is(err, ErrBadColumn) {
@@ -198,7 +198,7 @@ func TestSumRejectsWrongWidth(t *testing.T) {
 	if _, _, _, err := MinMaxFloat64(Single(), pieces); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("minmax err = %v", err)
 	}
-	if _, err := SelectInt64(Single(), pieces, func(int64) bool { return true }); !errors.Is(err, ErrBadColumn) {
+	if _, err := Select(Single(), pieces, func(int64) bool { return true }); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("select int err = %v", err)
 	}
 }
@@ -252,9 +252,9 @@ func TestSelectFloat64(t *testing.T) {
 func TestSelectInt64AndCount(t *testing.T) {
 	l, _ := buildLayout(t, layout.NSM, false, 100)
 	idPieces, _ := ColumnView(l, 0, 100)
-	pos, err := SelectInt64(Single(), idPieces, func(x int64) bool { return x%10 == 0 })
+	pos, err := Select(Single(), idPieces, func(x int64) bool { return x%10 == 0 })
 	if err != nil || len(pos) != 10 {
-		t.Fatalf("SelectInt64 = %v, %v", pos, err)
+		t.Fatalf("Select[int64] = %v, %v", pos, err)
 	}
 	prices, _ := ColumnView(l, 3, 100)
 	n, err := CountFloat64(Single(), prices, func(x float64) bool { return x > 50 })

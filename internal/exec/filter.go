@@ -2,7 +2,6 @@ package exec
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync"
 
@@ -10,95 +9,54 @@ import (
 	"hybridstore/internal/layout"
 )
 
-// SelectFloat64 scans a float64 column view and returns the sorted global
+// Select scans a numeric column view and returns the sorted global
 // positions whose value satisfies pred. Selections feed the position
 // lists that record-centric operators consume (the paper measures
 // materialization "right after the output — sorted position lists — of
 // the last preceding join operator is available"; selection is the
 // equivalent producer in this library).
+func Select[T Number](cfg Config, pieces []Piece, pred func(T) bool) ([]uint64, error) {
+	if err := checkSize8(pieces, "selection"); err != nil {
+		return nil, err
+	}
+	if err := rejectComp(pieces, "selection"); err != nil {
+		return nil, err
+	}
+	ot := obsSelect.start(cfg.Policy)
+	out := selectPositions(cfg, pieces, func(buf []uint64, gFrom, gTo int) []uint64 {
+		return scanMatches(buf, pieces, gFrom, gTo, pred)
+	})
+	cfg.chargeScan(pieces)
+	ot.end()
+	return out, nil
+}
+
+// SelectFloat64 is Select over a float64 column.
 func SelectFloat64(cfg Config, pieces []Piece, pred func(float64) bool) ([]uint64, error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return nil, fmt.Errorf("%w: float64 selection over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
-	}
-	if err := rejectComp(pieces, "float64 selection"); err != nil {
-		return nil, err
-	}
-	ot := obsSelect.start(cfg.Policy)
-	out := selectPositions(cfg, pieces, func(buf []uint64, gFrom, gTo int) []uint64 {
-		return scanMatchesF64(buf, pieces, gFrom, gTo, pred)
-	})
-	cfg.chargeScan(pieces)
-	ot.end()
-	return out, nil
+	return Select(cfg, pieces, pred)
 }
 
-// SelectInt64 is SelectFloat64 for int64 columns.
-func SelectInt64(cfg Config, pieces []Piece, pred func(int64) bool) ([]uint64, error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return nil, fmt.Errorf("%w: int64 selection over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
-	}
-	if err := rejectComp(pieces, "int64 selection"); err != nil {
-		return nil, err
-	}
-	ot := obsSelect.start(cfg.Policy)
-	out := selectPositions(cfg, pieces, func(buf []uint64, gFrom, gTo int) []uint64 {
-		return scanMatchesI64(buf, pieces, gFrom, gTo, pred)
-	})
-	cfg.chargeScan(pieces)
-	ot.end()
-	return out, nil
-}
-
-// scanMatchesF64 appends the global positions in pieces' local range
-// [gFrom, gTo) whose float64 field satisfies pred, reusing buf's
-// capacity. The contiguous stride-8 case re-slices to a dense byte run
-// and decodes inline, so only the caller's predicate — not an
-// additional per-row decode closure — runs per element.
-func scanMatchesF64(buf []uint64, pieces []Piece, gFrom, gTo int, pred func(float64) bool) []uint64 {
+// scanMatches appends the global positions in pieces' local range
+// [gFrom, gTo) whose field satisfies pred, reusing buf's capacity. The
+// contiguous stride-8 case walks a dense byte run and decodes inline, so
+// only the caller's predicate — not an additional per-row decode
+// closure — runs per element.
+func scanMatches[T Number](buf []uint64, pieces []Piece, gFrom, gTo int, pred func(T) bool) []uint64 {
 	eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
 		v := p.Vec
 		if v.Stride == 8 {
-			data := v.Data[v.Base+from*8 : v.Base+to*8]
-			base := p.Rows.Begin + uint64(from)
-			for i := 0; i+8 <= len(data); i += 8 {
-				if pred(math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))) {
-					buf = append(buf, base+uint64(i>>3))
+			pos := p.Rows.Begin + uint64(from)
+			for data := v.Data[v.Base+from*8 : v.Base+to*8]; len(data) >= 8; data = data[8:] {
+				if pred(load[T](data)) {
+					buf = append(buf, pos)
 				}
+				pos++
 			}
 			return
 		}
 		off := v.Base + from*v.Stride
 		for i := from; i < to; i++ {
-			if pred(math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:]))) {
-				buf = append(buf, p.Rows.Begin+uint64(i))
-			}
-			off += v.Stride
-		}
-	})
-	return buf
-}
-
-// scanMatchesI64 is scanMatchesF64 for int64 columns.
-func scanMatchesI64(buf []uint64, pieces []Piece, gFrom, gTo int, pred func(int64) bool) []uint64 {
-	eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
-		v := p.Vec
-		if v.Stride == 8 {
-			data := v.Data[v.Base+from*8 : v.Base+to*8]
-			base := p.Rows.Begin + uint64(from)
-			for i := 0; i+8 <= len(data); i += 8 {
-				if pred(int64(binary.LittleEndian.Uint64(data[i:]))) {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-			return
-		}
-		off := v.Base + from*v.Stride
-		for i := from; i < to; i++ {
-			if pred(int64(binary.LittleEndian.Uint64(v.Data[off:]))) {
+			if pred(load[T](v.Data[off:])) {
 				buf = append(buf, p.Rows.Begin+uint64(i))
 			}
 			off += v.Stride
@@ -198,16 +156,14 @@ func mergeParts(parts [][]uint64) []uint64 {
 // CountFloat64 counts the elements satisfying pred without building a
 // position list.
 func CountFloat64(cfg Config, pieces []Piece, pred func(float64) bool) (int64, error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return 0, fmt.Errorf("%w: float64 count over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
+	if err := checkSize8(pieces, "float64 count"); err != nil {
+		return 0, err
 	}
 	if err := rejectComp(pieces, "float64 count"); err != nil {
 		return 0, err
 	}
 	ot := obsCount.start(cfg.Policy)
-	n := int64(parallelSum(cfg, pieces, func(v layout.ColVector, from, to int) float64 {
+	_, n := parallelFold(cfg, pieces, func(v layout.ColVector, from, to int) (float64, int64) {
 		var c int64
 		off := v.Base + from*v.Stride
 		for i := from; i < to; i++ {
@@ -216,8 +172,8 @@ func CountFloat64(cfg Config, pieces []Piece, pred func(float64) bool) (int64, e
 			}
 			off += v.Stride
 		}
-		return float64(c)
-	}))
+		return 0, c
+	})
 	cfg.chargeScan(pieces)
 	ot.end()
 	return n, nil
@@ -226,10 +182,8 @@ func CountFloat64(cfg Config, pieces []Piece, pred func(float64) bool) (int64, e
 // MinMaxFloat64 returns the minimum and maximum of a float64 column view.
 // It returns ok=false for an empty view.
 func MinMaxFloat64(cfg Config, pieces []Piece) (min, max float64, ok bool, err error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return 0, 0, false, fmt.Errorf("%w: float64 minmax over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
+	if err := checkSize8(pieces, "float64 minmax"); err != nil {
+		return 0, 0, false, err
 	}
 	if err := rejectComp(pieces, "float64 minmax"); err != nil {
 		return 0, 0, false, err

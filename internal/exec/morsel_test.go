@@ -96,10 +96,10 @@ func TestQuickMorselEqualsSequential(t *testing.T) {
 			t.Logf("SumFloat64: %v/%v vs %v/%v", s1, e1, s2, e2)
 			return false
 		}
-		i1, e1 := SumInt64(single, ids)
-		i2, e2 := SumInt64(morsel, ids)
+		i1, e1 := Sum[int64](single, ids)
+		i2, e2 := Sum[int64](morsel, ids)
 		if e1 != nil || e2 != nil || i1 != i2 {
-			t.Logf("SumInt64: %d vs %d", i1, i2)
+			t.Logf("Sum[int64]: %d vs %d", i1, i2)
 			return false
 		}
 		pred := func(x float64) bool { return x < 50 }
@@ -110,10 +110,10 @@ func TestQuickMorselEqualsSequential(t *testing.T) {
 			return false
 		}
 		ipred := func(x int64) bool { return x%3 == 0 }
-		q1, e1 := SelectInt64(single, ids, ipred)
-		q2, e2 := SelectInt64(morsel, ids, ipred)
+		q1, e1 := Select(single, ids, ipred)
+		q2, e2 := Select(morsel, ids, ipred)
 		if e1 != nil || e2 != nil || !equalPositions(q1, q2) {
-			t.Logf("SelectInt64: %d vs %d matches", len(q1), len(q2))
+			t.Logf("Select[int64]: %d vs %d matches", len(q1), len(q2))
 			return false
 		}
 		c1, e1 := CountFloat64(single, prices, pred)

@@ -263,6 +263,9 @@ func TestResizeUnderLoad(t *testing.T) {
 func TestPoolMetricsAdvance(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(4)
+	// Workers left over from an earlier, larger pool retire
+	// asynchronously; wait for them so the gauge check below sees 4.
+	waitUntil(t, "pool to settle at 4 workers", func() bool { return RunningWorkers() == 4 })
 	before := obs.TakeSnapshot()
 
 	// Single-morsel job: inline, no scheduling.

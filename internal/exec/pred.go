@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
+	"unsafe"
 
+	"hybridstore/internal/compress"
 	"hybridstore/internal/exec/pool"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
@@ -71,11 +72,11 @@ func (o Op) String() string {
 	}
 }
 
-// Number is the element domain of sargable predicates: the two 8-byte
-// numeric kinds the zone maps cover.
-type Number interface {
-	~int64 | ~float64
-}
+// Number is the element domain of sargable predicates and of the
+// generic kernels: the two 8-byte numeric kinds the zone maps cover. It
+// is the compressed-domain operators' constraint, so one instantiation
+// serves both packages.
+type Number = compress.Number
 
 // Pred is a sargable predicate over one 8-byte numeric column: an
 // equality or range comparison the executor can both specialize (tight
@@ -225,34 +226,34 @@ func ClosedInt64(p Pred[int64]) (lo, hi int64, ok bool) {
 	}
 }
 
-// zoneAdmitsFloat64 reports whether the piece's zone map allows a
-// match. A nil, invalid or foreign-kind zone admits everything — the
-// scan falls back to touching the bytes.
-func zoneAdmitsFloat64(z *stats.Zone, p Pred[float64]) bool {
-	min, max, ok := z.Float64Bounds()
-	if !ok {
-		return true
+// closed is ClosedFloat64 or ClosedInt64, chosen once per call by the
+// element type.
+func closed[T Number](p Pred[T]) (lo, hi T, ok bool) {
+	if integral[T]() {
+		l, h, ok := ClosedInt64(Pred[int64]{Op: p.Op, Lo: int64(p.Lo), Hi: int64(p.Hi)})
+		return T(l), T(h), ok
 	}
-	return p.admits(min, max)
+	l, h, ok := ClosedFloat64(Pred[float64]{Op: p.Op, Lo: float64(p.Lo), Hi: float64(p.Hi)})
+	return T(l), T(h), ok
 }
 
-// zoneAdmitsInt64 is zoneAdmitsFloat64 for int64 predicates.
-func zoneAdmitsInt64(z *stats.Zone, p Pred[int64]) bool {
-	min, max, ok := z.Int64Bounds()
-	if !ok {
-		return true
+// zoneAdmits reports whether the piece's zone map allows a match. A
+// nil, invalid or foreign-kind zone admits everything — the scan falls
+// back to touching the bytes.
+func zoneAdmits[T Number](z *stats.Zone, p Pred[T]) bool {
+	if integral[T]() {
+		min, max, ok := z.Int64Bounds()
+		return !ok || p.admits(T(min), T(max))
 	}
-	return p.admits(min, max)
+	min, max, ok := z.Float64Bounds()
+	return !ok || p.admits(T(min), T(max))
 }
 
 // ZoneAdmitsFloat64 exposes the zone-overlap test to engine code that
 // prunes outside the host operators — the device paths decide before
 // paying the transfer or the kernel launch. A nil, invalid or
 // foreign-kind zone admits everything.
-func ZoneAdmitsFloat64(z *stats.Zone, p Pred[float64]) bool { return zoneAdmitsFloat64(z, p) }
-
-// ZoneAdmitsInt64 is ZoneAdmitsFloat64 for int64 predicates.
-func ZoneAdmitsInt64(z *stats.Zone, p Pred[int64]) bool { return zoneAdmitsInt64(z, p) }
+func ZoneAdmitsFloat64(z *stats.Zone, p Pred[float64]) bool { return zoneAdmits(z, p) }
 
 // NoteZoneDecision records one zone consultation made outside the host
 // operators (bytes is the fragment size the decision covered), keeping
@@ -316,54 +317,42 @@ func checkSize8(pieces []Piece, what string) error {
 
 // --- Specialized kernels -------------------------------------------------
 //
-// One loop per (type, comparison) pair, chosen once outside the loop.
-// The contiguous stride-8 case re-slices the vector to a dense byte run
-// so the element load is a single bounds-check-friendly 8-byte decode;
-// the strided (NSM) case steps by the tuplet width. Both compare inline
-// — the branch predictor sees one well-behaved branch per element.
+// One generic loop per kernel, instantiated per element type. The
+// predicate is normalized to a closed interval once per call, so the
+// inner loop carries one two-sided compare and no per-element Op switch
+// (the shape of the grouped and device kernels). The contiguous
+// stride-8 case walks a dense byte run by re-slicing it 8 bytes at a
+// time, which leaves the loop without bounds checks; the strided (NSM)
+// case steps by the tuplet width.
 
-// sumWhereF64 returns the sum and count of matching elements in
-// v[from:to).
-func sumWhereF64(v layout.ColVector, from, to int, p Pred[float64]) (float64, int64) {
-	var sum float64
-	var n int64
+// integral reports whether T is an integer kind (0.5 truncates to 0).
+func integral[T Number]() bool {
+	half := 0.5
+	return T(half) == 0
+}
+
+// load decodes the little-endian 8-byte element at the front of b as T:
+// math.Float64frombits for floats, a plain conversion for integers.
+func load[T Number](b []byte) T {
+	u := binary.LittleEndian.Uint64(b)
+	return *(*T)(unsafe.Pointer(&u))
+}
+
+// sumWhere returns the sum (accumulated in T, so int64 sums are exact
+// mod 2^64) and count of the elements of v[from:to) inside [lo, hi].
+func sumWhere[T Number](v layout.ColVector, from, to int, lo, hi T) (sum T, n int64) {
 	if v.Stride == 8 {
-		data := v.Data[v.Base+from*8 : v.Base+to*8]
-		switch p.Op {
-		case OpEQ:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
-					sum += x
-					n++
-				}
-			}
-		case OpLT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
-					sum += x
-					n++
-				}
-			}
-		case OpGT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
-					sum += x
-					n++
-				}
-			}
-		case OpBetween:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
-					sum += x
-					n++
-				}
+		for data := v.Data[v.Base+from*8 : v.Base+to*8]; len(data) >= 8; data = data[8:] {
+			if x := load[T](data); lo <= x && x <= hi {
+				sum += x
+				n++
 			}
 		}
 		return sum, n
 	}
 	off := v.Base + from*v.Stride
 	for i := from; i < to; i++ {
-		if x := math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
+		if x := load[T](v.Data[off:]); lo <= x && x <= hi {
 			sum += x
 			n++
 		}
@@ -372,134 +361,23 @@ func sumWhereF64(v layout.ColVector, from, to int, p Pred[float64]) (float64, in
 	return sum, n
 }
 
-// sumWhereI64 is sumWhereF64 for int64 columns.
-func sumWhereI64(v layout.ColVector, from, to int, p Pred[int64]) (int64, int64) {
-	var sum, n int64
+// appendWhere appends the global positions of the elements of
+// v[from:to) inside [lo, hi] (whose global position base is
+// rowBase+from) to buf.
+func appendWhere[T Number](buf []uint64, rowBase uint64, v layout.ColVector, from, to int, lo, hi T) []uint64 {
 	if v.Stride == 8 {
-		data := v.Data[v.Base+from*8 : v.Base+to*8]
-		switch p.Op {
-		case OpEQ:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
-					sum += x
-					n++
-				}
+		pos := rowBase + uint64(from)
+		for data := v.Data[v.Base+from*8 : v.Base+to*8]; len(data) >= 8; data = data[8:] {
+			if x := load[T](data); lo <= x && x <= hi {
+				buf = append(buf, pos)
 			}
-		case OpLT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
-					sum += x
-					n++
-				}
-			}
-		case OpGT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
-					sum += x
-					n++
-				}
-			}
-		case OpBetween:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
-					sum += x
-					n++
-				}
-			}
-		}
-		return sum, n
-	}
-	off := v.Base + from*v.Stride
-	for i := from; i < to; i++ {
-		if x := int64(binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
-			sum += x
-			n++
-		}
-		off += v.Stride
-	}
-	return sum, n
-}
-
-// appendWhereF64 appends the global positions of matching elements in
-// v[from:to) (whose global position base is rowBase+from) to buf.
-func appendWhereF64(buf []uint64, rowBase uint64, v layout.ColVector, from, to int, p Pred[float64]) []uint64 {
-	if v.Stride == 8 {
-		data := v.Data[v.Base+from*8 : v.Base+to*8]
-		base := rowBase + uint64(from)
-		switch p.Op {
-		case OpEQ:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpLT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpGT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpBetween:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
+			pos++
 		}
 		return buf
 	}
 	off := v.Base + from*v.Stride
 	for i := from; i < to; i++ {
-		if x := math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
-			buf = append(buf, rowBase+uint64(i))
-		}
-		off += v.Stride
-	}
-	return buf
-}
-
-// appendWhereI64 is appendWhereF64 for int64 columns.
-func appendWhereI64(buf []uint64, rowBase uint64, v layout.ColVector, from, to int, p Pred[int64]) []uint64 {
-	if v.Stride == 8 {
-		data := v.Data[v.Base+from*8 : v.Base+to*8]
-		base := rowBase + uint64(from)
-		switch p.Op {
-		case OpEQ:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpLT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpGT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpBetween:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		}
-		return buf
-	}
-	off := v.Base + from*v.Stride
-	for i := from; i < to; i++ {
-		if x := int64(binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
+		if x := load[T](v.Data[off:]); lo <= x && x <= hi {
 			buf = append(buf, rowBase+uint64(i))
 		}
 		off += v.Stride
@@ -509,110 +387,63 @@ func appendWhereI64(buf []uint64, rowBase uint64, v layout.ColVector, from, to i
 
 // --- Fused operators -----------------------------------------------------
 
-// SumFloat64Where computes SUM(col), COUNT(*) WHERE p in one fused scan:
-// no position list is materialized, pieces whose zone maps exclude the
+// SumWhere computes SUM(col), COUNT(*) WHERE p in one fused scan: no
+// position list is materialized, pieces whose zone maps exclude the
 // predicate are never touched, and only scanned bytes are charged to
-// the platform model.
+// the platform model. The sum accumulates in T: float64 partials fold
+// in the policy's order, int64 sums are exact mod 2^64.
+func SumWhere[T Number](cfg Config, pieces []Piece, p Pred[T]) (T, int64, error) {
+	return foldWhere(cfg, pieces, p, &obsSumWhere)
+}
+
+// SumFloat64Where is SumWhere over a float64 column.
 func SumFloat64Where(cfg Config, pieces []Piece, p Pred[float64]) (float64, int64, error) {
-	if err := checkSize8(pieces, "fused float64 sum"); err != nil {
+	return SumWhere(cfg, pieces, p)
+}
+
+// CountWhere counts matches with zone-map pruning: it is the count half
+// of the sum-where fold. The closure-based CountFloat64 remains the
+// fallback for arbitrary predicates.
+func CountWhere[T Number](cfg Config, pieces []Piece, p Pred[T]) (int64, error) {
+	_, n, err := foldWhere(cfg, pieces, p, &obsCountWhere)
+	return n, err
+}
+
+// CountWhereFloat64 is CountWhere over a float64 column.
+func CountWhereFloat64(cfg Config, pieces []Piece, p Pred[float64]) (int64, error) {
+	return CountWhere(cfg, pieces, p)
+}
+
+// foldWhere is the body of SumWhere and CountWhere, reporting to the
+// operator family o: raw pieces run the dense fold under the policy,
+// compressed pieces the compressed-domain fold, added after the raw
+// partials.
+func foldWhere[T Number](cfg Config, pieces []Piece, p Pred[T], o *opObs) (T, int64, error) {
+	if err := checkSize8(pieces, "fused sum-where"); err != nil {
 		return 0, 0, err
 	}
-	ot := obsSumWhere.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsFloat64(z, p) })
+	ot := o.start(cfg.Policy)
+	defer ot.end()
+	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmits(z, p) })
 	raw, comp := splitComp(kept)
-	sum, n := parallelSumCount(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
-		return sumWhereF64(v, from, to, p)
-	})
+	lo, hi, ok := closed(p)
+	var sum T
+	var n int64
+	if ok {
+		sum, n = parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (T, int64) {
+			return sumWhere(v, from, to, lo, hi)
+		})
+	}
 	if len(comp) > 0 {
-		cs, cn, err := compSumCountF64(cfg, comp, p)
+		cs, cn, err := compSumWhere(cfg, comp, p)
 		if err != nil {
-			ot.end()
 			return 0, 0, err
 		}
 		sum += cs
 		n += cn
 	}
 	cfg.chargeScan(kept)
-	ot.end()
 	return sum, n, nil
-}
-
-// SumInt64Where is SumFloat64Where for int64 columns.
-func SumInt64Where(cfg Config, pieces []Piece, p Pred[int64]) (int64, int64, error) {
-	if err := checkSize8(pieces, "fused int64 sum"); err != nil {
-		return 0, 0, err
-	}
-	ot := obsSumWhere.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsInt64(z, p) })
-	raw, comp := splitComp(kept)
-	sum, n := parallelSumCount(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
-		s, c := sumWhereI64(v, from, to, p)
-		return float64(s), c
-	})
-	total := int64(sum)
-	if len(comp) > 0 {
-		cs, cn, err := compSumCountI64(cfg, comp, p)
-		if err != nil {
-			ot.end()
-			return 0, 0, err
-		}
-		total += cs
-		n += cn
-	}
-	cfg.chargeScan(kept)
-	ot.end()
-	return total, n, nil
-}
-
-// CountWhereFloat64 counts matches in one fused scan with zone-map
-// pruning; the generic CountFloat64 remains the fallback for arbitrary
-// predicates.
-func CountWhereFloat64(cfg Config, pieces []Piece, p Pred[float64]) (int64, error) {
-	if err := checkSize8(pieces, "fused float64 count"); err != nil {
-		return 0, err
-	}
-	ot := obsCountWhere.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsFloat64(z, p) })
-	raw, comp := splitComp(kept)
-	_, n := parallelSumCount(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
-		return sumWhereF64(v, from, to, p)
-	})
-	if len(comp) > 0 {
-		cn, err := compCountF64(cfg, comp, p)
-		if err != nil {
-			ot.end()
-			return 0, err
-		}
-		n += cn
-	}
-	cfg.chargeScan(kept)
-	ot.end()
-	return n, nil
-}
-
-// CountWhereInt64 is CountWhereFloat64 for int64 columns.
-func CountWhereInt64(cfg Config, pieces []Piece, p Pred[int64]) (int64, error) {
-	if err := checkSize8(pieces, "fused int64 count"); err != nil {
-		return 0, err
-	}
-	ot := obsCountWhere.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsInt64(z, p) })
-	raw, comp := splitComp(kept)
-	_, n := parallelSumCount(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
-		s, c := sumWhereI64(v, from, to, p)
-		return float64(s), c
-	})
-	if len(comp) > 0 {
-		cn, err := compCountI64(cfg, comp, p)
-		if err != nil {
-			ot.end()
-			return 0, err
-		}
-		n += cn
-	}
-	cfg.chargeScan(kept)
-	ot.end()
-	return n, nil
 }
 
 // SelVec is a compact selection vector: the sorted global row positions
@@ -661,101 +492,18 @@ func SelectFloat64Pred(cfg Config, pieces []Piece, p Pred[float64]) (*SelVec, er
 		return nil, err
 	}
 	ot := obsSelectPred.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsFloat64(z, p) })
+	defer ot.end()
+	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmits(z, p) })
+	cfg.chargeScan(kept)
+	lo, hi, ok := closed(p)
+	if !ok {
+		return &SelVec{}, nil
+	}
 	out := selectPositionsInto(cfg, kept, func(buf []uint64, gFrom, gTo int) []uint64 {
 		eachRange(kept, gFrom, gTo, func(pc Piece, from, to int) {
-			buf = appendWhereF64(buf, pc.Rows.Begin, pc.Vec, from, to, p)
+			buf = appendWhere(buf, pc.Rows.Begin, pc.Vec, from, to, lo, hi)
 		})
 		return buf
 	})
-	cfg.chargeScan(kept)
-	ot.end()
 	return &SelVec{pos: out}, nil
-}
-
-// SelectInt64Pred is SelectFloat64Pred for int64 columns.
-func SelectInt64Pred(cfg Config, pieces []Piece, p Pred[int64]) (*SelVec, error) {
-	if err := checkSize8(pieces, "int64 predicate selection"); err != nil {
-		return nil, err
-	}
-	if err := rejectComp(pieces, "predicate selection"); err != nil {
-		return nil, err
-	}
-	ot := obsSelectPred.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsInt64(z, p) })
-	out := selectPositionsInto(cfg, kept, func(buf []uint64, gFrom, gTo int) []uint64 {
-		eachRange(kept, gFrom, gTo, func(pc Piece, from, to int) {
-			buf = appendWhereI64(buf, pc.Rows.Begin, pc.Vec, from, to, p)
-		})
-		return buf
-	})
-	cfg.chargeScan(kept)
-	ot.end()
-	return &SelVec{pos: out}, nil
-}
-
-// parallelSumCount folds pieces into a (sum, count) pair under the
-// configured policy; the partial kernel returns its range's partials.
-// It mirrors parallelSum with a second pooled partials array for the
-// counts (exact in float64 up to 2^53, far beyond any fragment).
-func parallelSumCount(cfg Config, pieces []Piece, kernel func(v layout.ColVector, from, to int) (float64, int64)) (float64, int64) {
-	total := totalLen(pieces)
-	if total == 0 {
-		return 0, 0
-	}
-	foldInto := func(sums, counts []float64, slot, gFrom, gTo int) {
-		eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
-			s, c := kernel(p.Vec, from, to)
-			sums[slot] += s
-			counts[slot] += float64(c)
-		})
-	}
-	reduce := func(sums, counts []float64) (float64, int64) {
-		var sum, cnt float64
-		for i := range sums {
-			sum += sums[i]
-			cnt += counts[i]
-		}
-		pool.PutFloat64s(sums)
-		pool.PutFloat64s(counts)
-		return sum, int64(cnt)
-	}
-	switch cfg.Policy {
-	case MorselDriven:
-		slots := pool.Slots()
-		sums, counts := pool.GetFloat64s(slots), pool.GetFloat64s(slots)
-		pool.Run(total, pool.MorselSize(), slots, func(slot, from, to int) {
-			foldInto(sums, counts, slot, from, to)
-		})
-		return reduce(sums, counts)
-	case MultiThreaded:
-		th := cfg.threads()
-		if th > 1 {
-			sums, counts := pool.GetFloat64s(th), pool.GetFloat64s(th)
-			var wg sync.WaitGroup
-			for w := 0; w < th; w++ {
-				gFrom, gTo := blockRange(w, th, total)
-				if gFrom >= gTo {
-					break
-				}
-				wg.Add(1)
-				go func(w, gFrom, gTo int) {
-					defer wg.Done()
-					foldInto(sums, counts, w, gFrom, gTo)
-				}(w, gFrom, gTo)
-			}
-			wg.Wait()
-			return reduce(sums, counts)
-		}
-		fallthrough
-	default:
-		var sum float64
-		var cnt int64
-		for _, p := range pieces {
-			s, c := kernel(p.Vec, 0, p.Vec.Len)
-			sum += s
-			cnt += c
-		}
-		return sum, cnt
-	}
 }

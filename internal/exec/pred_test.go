@@ -138,7 +138,8 @@ func TestFusedWhereMatchesGenericAllPolicies(t *testing.T) {
 	}
 }
 
-// TestSumInt64WhereMatchesLoop checks the int64 fused kernels.
+// TestSumInt64WhereMatchesLoop checks the int64 instantiations of the
+// generic fused operators.
 func TestSumInt64WhereMatchesLoop(t *testing.T) {
 	const n = 500
 	l, _ := buildLayout(t, layout.NSM, false, n)
@@ -156,16 +157,51 @@ func TestSumInt64WhereMatchesLoop(t *testing.T) {
 					wantN++
 				}
 			}
-			sum, cnt, err := SumInt64Where(cfg, pieces, p)
+			sum, cnt, err := SumWhere(cfg, pieces, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sum != wantSum || cnt != wantN {
 				t.Fatalf("%v %v: (%d,%d), want (%d,%d)", cfg.Policy, p, sum, cnt, wantSum, wantN)
 			}
-			gotN, err := CountWhereInt64(cfg, pieces, p)
+			gotN, err := CountWhere(cfg, pieces, p)
 			if err != nil || gotN != wantN {
-				t.Fatalf("CountWhereInt64 = %d, %v; want %d", gotN, err, wantN)
+				t.Fatalf("CountWhere = %d, %v; want %d", gotN, err, wantN)
+			}
+		}
+	}
+
+	// Full-range int64: sums are exact mod 2^64, never rounded through
+	// float64 partials. The first case's total 4620693217682128900 has
+	// no float64 representation; the second wraps across its pieces.
+	for _, tc := range []struct {
+		name   string
+		pieces [][]int64
+	}{
+		{"large", [][]int64{{1 << 53, 1, 1 << 62, 3}}},
+		{"wrap", [][]int64{{math.MaxInt64}, {math.MaxInt64, 5}}},
+	} {
+		var pieces []Piece
+		var want int64
+		row := 0
+		for _, vals := range tc.pieces {
+			for _, v := range vals {
+				want += v
+			}
+			pieces = append(pieces, Piece{
+				Rows: layout.RowRange{Begin: uint64(row), End: uint64(row + len(vals))},
+				Vec:  layout.ColVector{Data: encodeI64(vals), Stride: 8, Size: 8, Len: len(vals)},
+			})
+			row += len(vals)
+		}
+		for _, cfg := range []Config{Single(), Multi(), Morsel()} {
+			sum, err := Sum[int64](cfg, pieces)
+			if err != nil || sum != want {
+				t.Fatalf("%s %v: Sum = %d, %v; want %d", tc.name, cfg.Policy, sum, err, want)
+			}
+			wsum, n, err := SumWhere(cfg, pieces, Gt[int64](0))
+			if err != nil || wsum != want || n != int64(row) {
+				t.Fatalf("%s %v: SumWhere(x > 0) = (%d, %d), %v; want (%d, %d)", tc.name, cfg.Policy, wsum, n, err, want, row)
 			}
 		}
 	}
@@ -246,7 +282,7 @@ func TestPruneByZoneSkipsAndStaysExact(t *testing.T) {
 		}
 	}
 	p := Between[float64](250, 349) // matches span chunks [200,300) and [300,400)
-	kept, prunedBytes := pruneByZone(Single(), pieces, func(z *stats.Zone) bool { return zoneAdmitsFloat64(z, p) })
+	kept, prunedBytes := pruneByZone(Single(), pieces, func(z *stats.Zone) bool { return zoneAdmits(z, p) })
 	if len(kept) != 2 || kept[0].Rows.Begin != 200 || kept[1].Rows.Begin != 300 {
 		t.Fatalf("kept %d pieces starting at %v", len(kept), func() (b []uint64) {
 			for _, k := range kept {
@@ -287,7 +323,7 @@ func TestWhereValidation(t *testing.T) {
 	if _, _, err := SumFloat64Where(Single(), pieces, Gt[float64](0)); !errors.Is(err, ErrBadColumn) {
 		t.Fatalf("err = %v, want ErrBadColumn", err)
 	}
-	if _, _, err := SumInt64Where(Single(), pieces, Gt[int64](0)); !errors.Is(err, ErrBadColumn) {
+	if _, _, err := SumWhere(Single(), pieces, Gt[int64](0)); !errors.Is(err, ErrBadColumn) {
 		t.Fatalf("err = %v, want ErrBadColumn", err)
 	}
 	if _, err := CountWhereFloat64(Single(), pieces, Gt[float64](0)); !errors.Is(err, ErrBadColumn) {

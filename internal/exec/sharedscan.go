@@ -71,11 +71,11 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 	var perPredBytes int64
 	for k := range preds {
 		p := preds[k]
-		kp, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsFloat64(z, p) })
+		kp, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmits(z, p) })
 		kept[k] = kp
 		row := admit[k*len(pieces) : (k+1)*len(pieces)]
 		for i := range pieces {
-			row[i] = zoneAdmitsFloat64(pieces[i].Zone, p)
+			row[i] = zoneAdmits(pieces[i].Zone, p)
 			if row[i] {
 				perPredBytes += int64(pieces[i].Vec.Len) * int64(pieces[i].Vec.Size)
 			}
@@ -84,17 +84,28 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 
 	// Shared raw pass, piece-major: each surviving raw piece is streamed
 	// once and every admitting predicate folds it in original piece
-	// order — the solo sequential fold order per predicate.
+	// order — the solo sequential fold order per predicate. A predicate
+	// whose closed interval is empty matches nothing and skips the fold.
+	type interval struct {
+		lo, hi float64
+		ok     bool
+	}
+	closedPreds := make([]interval, len(preds))
+	for k := range preds {
+		c := &closedPreds[k]
+		c.lo, c.hi, c.ok = ClosedFloat64(preds[k])
+	}
 	for i := range pieces {
 		pc := &pieces[i]
 		if pc.Comp != nil {
 			continue
 		}
 		for k := range preds {
-			if !admit[k*len(pieces)+i] {
+			c := closedPreds[k]
+			if !c.ok || !admit[k*len(pieces)+i] {
 				continue
 			}
-			s, n := sumWhereF64(pc.Vec, 0, pc.Vec.Len, preds[k])
+			s, n := sumWhere(pc.Vec, 0, pc.Vec.Len, c.lo, c.hi)
 			sums[k] += s
 			counts[k] += n
 		}
@@ -114,7 +125,7 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 		if len(comp) == 0 {
 			continue
 		}
-		cs, cn, err := compSumCountF64(cfg, comp, preds[k])
+		cs, cn, err := compSumWhere(cfg, comp, preds[k])
 		if err != nil {
 			ot.end()
 			return nil, nil, err
